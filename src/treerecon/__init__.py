@@ -9,11 +9,10 @@ Carlo simulation.
 
 from .bounds import (BoundReport, DELTA2_GRID, FkResult, Verdict, bound_report,
                      fk_criterion, ks_constant, martin_constant, mp_constant,
-                     report_to_dict, reports_from_json, reports_to_json,
-                     table1, table_from_csv, table_to_csv)
+                     table1)
 from .channels import (Channel, as_belief, binary_channel, channel_from_json,
                        channel_to_json, make_channel, permute_channel,
-                       potts_channel, reverse, second_eigenvalue,
+                       potts_channel, second_eigenvalue,
                        stationary_distribution)
 from .entropy import relative_entropy, symmetrized_entropy
 from .errors import (BadDimension, BadPermutation, CenterSingularity,
@@ -50,8 +49,7 @@ __all__ = [
     "make_channel", "martin_constant", "mc_root_entropy",
     "mc_root_entropy_fixed_tree", "mp_constant", "near_center_limit",
     "permute_channel", "potts_cbar", "potts_channel", "random_suite", "ratio",
-    "relative_entropy", "report_to_dict", "reports_from_json",
-    "reports_to_json", "reverse", "run_suite", "sample_tree",
+    "relative_entropy", "run_suite", "sample_tree",
     "second_eigenvalue", "stationary_distribution", "symmetrized_entropy",
-    "table1", "table_from_csv", "table_to_csv", "tree_from_level_counts",
+    "table1", "tree_from_level_counts",
 ]

@@ -13,16 +13,13 @@ Verdicts are tri-state; bounds that do not apply are absent (None), not zero.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .channels import Channel, binary_channel, second_eigenvalue
-from .errors import ChannelError, NonPositiveEntry
+from .channels import Channel, _check_deltas, binary_channel, second_eigenvalue
+from .errors import ChannelError
 from .variational import OptimizerConfig, compute_c
 
 
@@ -40,12 +37,6 @@ class FkResult(NamedTuple):
 def ks_constant(channel: Channel) -> float:
     """Squared modulus of the second eigenvalue."""
     return second_eigenvalue(channel) ** 2
-
-
-def _check_deltas(delta1: float, delta2: float) -> None:
-    for name, d in (("delta1", delta1), ("delta2", delta2)):
-        if not (0.0 < d < 1.0):
-            raise NonPositiveEntry(f"{name} must lie strictly in (0, 1), got {d!r}")
 
 
 def mp_constant(delta1: float, delta2: float) -> float:
@@ -101,14 +92,10 @@ def _verdicts(fk: float, ks: float, martin: float | None, mp: float | None,
         "fk": (Verdict.NON_RECONSTRUCTION if d * fk < 1.0 else Verdict.INCONCLUSIVE).value,
         "ks": (Verdict.RECONSTRUCTION if d * ks > 1.0 else Verdict.INCONCLUSIVE).value,
     }
-    if martin is not None:
-        out["martin"] = (
-            Verdict.NON_RECONSTRUCTION if d * martin <= 1.0 else Verdict.INCONCLUSIVE
-        ).value
-    if mp is not None:
-        out["mp"] = (
-            Verdict.NON_RECONSTRUCTION if d * mp <= 1.0 else Verdict.INCONCLUSIVE
-        ).value
+    for name, value in (("martin", martin), ("mp", mp)):
+        if value is not None:
+            out[name] = (Verdict.NON_RECONSTRUCTION if d * value <= 1.0
+                         else Verdict.INCONCLUSIVE).value
     return out
 
 
@@ -146,73 +133,7 @@ def table1(delta1: float = 0.3, delta2_list: Sequence[float] = DELTA2_GRID,
            config: OptimizerConfig | None = None,
            threads: int | None = 1) -> list[BoundReport]:
     """Bound constants for the family of two-state channels with fixed delta1."""
-    reports = []
-    for d2 in delta2_list:
-        ch = binary_channel(delta1, d2)
-        reports.append(bound_report(ch, branching, config=config, threads=threads))
-    return reports
+    return [bound_report(binary_channel(delta1, d2), branching, config=config,
+                         threads=threads)
+            for d2 in delta2_list]
 
-
-TABLE_COLUMNS = ("delta2", "ks", "fk", "martin", "mp")
-
-
-def table_to_csv(reports: Sequence[BoundReport]) -> str:
-    """CSV with columns delta2,ks,fk,martin,mp at 4 decimal places."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TABLE_COLUMNS)
-    for r in reports:
-        w.writerow([
-            f"{r.delta2:.4f}" if r.delta2 is not None else "",
-            f"{r.ks:.4f}",
-            f"{r.fk:.4f}",
-            f"{r.martin:.4f}" if r.martin is not None else "",
-            f"{r.mp:.4f}" if r.mp is not None else "",
-        ])
-    return buf.getvalue()
-
-
-def table_from_csv(text: str) -> list[dict]:
-    """Parse the CSV produced by table_to_csv back into row dicts of floats."""
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if not rows:
-        raise ValueError("empty table")
-    for row in rows:
-        missing = set(TABLE_COLUMNS) - set(row)
-        if missing:
-            raise ValueError(f"table is missing columns {sorted(missing)}")
-    return [
-        {k: (float(v) if v not in (None, "") else None) for k, v in row.items()}
-        for row in rows
-    ]
-
-
-def report_to_dict(r: BoundReport) -> dict:
-    return {
-        "channel": r.channel_desc,
-        "branching": r.branching,
-        "delta1": r.delta1,
-        "delta2": r.delta2,
-        "constants": {"fk": r.fk, "ks": r.ks, "martin": r.martin, "mp": r.mp},
-        "verdicts": r.verdicts,
-    }
-
-
-def reports_to_json(reports: Sequence[BoundReport], **meta) -> str:
-    obj = dict(meta)
-    obj["reports"] = [report_to_dict(r) for r in reports]
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def reports_from_json(text: str) -> dict:
-    """Parse and schema-check a JSON report emitted by reports_to_json."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "reports" not in obj:
-        raise ValueError("bound report JSON needs a top-level 'reports' list")
-    for r in obj["reports"]:
-        if "constants" not in r or "verdicts" not in r:
-            raise ValueError("each report needs 'constants' and 'verdicts'")
-        missing = {"fk", "ks", "martin", "mp"} - set(r["constants"])
-        if missing:
-            raise ValueError(f"report constants missing {sorted(missing)}")
-    return obj

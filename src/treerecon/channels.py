@@ -39,13 +39,20 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
 def _normalize_exact(v: np.ndarray) -> np.ndarray:
     # Normalize and then push the rounding defect into the largest entry so
     # np.sum of the result is exactly 1.0.  Keeps downstream identities exact.
+    # Rounding inside the sum can make that correction overshoot back and
+    # forth; then the entry, and after it each smaller nonzero entry in turn,
+    # moves by single ulps, which keeps every entry's sign.
     v = v / v.sum()
-    for _ in range(3):
-        defect = v.sum() - 1.0
-        if defect == 0.0:
-            return v
-        v = v.copy()
-        v[int(np.argmax(v))] -= defect
+    for rank, k in enumerate(np.argsort(-v, kind="stable")[:np.count_nonzero(v)]):
+        w = v.copy()
+        for step in range(16):
+            defect = w.sum() - 1.0
+            if defect == 0.0:
+                return w
+            if rank == 0 and step < 3:
+                w[k] -= defect
+            else:
+                w[k] = np.nextafter(w[k], -np.inf if defect > 0 else np.inf)
     return v
 
 
@@ -165,11 +172,6 @@ def make_channel(matrix, label: str | None = None) -> Channel:
     )
 
 
-def reverse(channel: Channel) -> np.ndarray:
-    """Reversed kernel M_rev(i, j) = alpha(j) M(j, i) / alpha(i)."""
-    return channel.reversed
-
-
 def second_eigenvalue(channel: Channel) -> float:
     """Modulus of the second-largest eigenvalue of the channel matrix.
 
@@ -183,18 +185,34 @@ def second_eigenvalue(channel: Channel) -> float:
     return float(mods[-2])
 
 
+def _potts_e2b(beta: float) -> float:
+    """e^{2 beta} for a Potts channel; where it overflows, the off-diagonal
+    entry 1 / (e^{2 beta} + q - 1) lies below the smallest normal double."""
+    if not math.isfinite(beta):
+        raise ChannelError(f"beta must be finite, got {beta!r}")
+    try:
+        return math.exp(2.0 * beta)
+    except OverflowError:
+        raise NonPositiveEntry(f"beta={beta!r} is too large: the off-diagonal "
+                               "Potts entries underflow to zero") from None
+
+
 def potts_channel(q: int, beta: float) -> Channel:
     """Potts channel: diagonal e^{2 beta} / (e^{2 beta} + q - 1), off-diagonal
     1 / (e^{2 beta} + q - 1).  Symmetric, stationary law uniform."""
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise BadDimension(f"potts channel needs integer q >= 2, got {q!r}")
-    if not math.isfinite(beta):
-        raise ChannelError(f"beta must be finite, got {beta!r}")
-    e2b = math.exp(2.0 * beta)
+    e2b = _potts_e2b(beta)
     denom = e2b + q - 1.0
     m = np.full((q, q), 1.0 / denom)
     np.fill_diagonal(m, e2b / denom)
     return make_channel(m, label=f"potts(q={q}, beta={beta:g})")
+
+
+def _check_deltas(delta1: float, delta2: float) -> None:
+    for name, d in (("delta1", delta1), ("delta2", delta2)):
+        if not (0.0 < d < 1.0):
+            raise NonPositiveEntry(f"{name} must lie strictly in (0, 1), got {d!r}")
 
 
 def binary_channel(delta1: float, delta2: float) -> Channel:
@@ -203,9 +221,7 @@ def binary_channel(delta1: float, delta2: float) -> Channel:
     Requires 0 < delta1, delta2 < 1 strictly.  The stationary law is
     (1-delta2, delta1) / (1 - delta2 + delta1).
     """
-    for name, d in (("delta1", delta1), ("delta2", delta2)):
-        if not (0.0 < d < 1.0):
-            raise NonPositiveEntry(f"{name} must lie strictly in (0, 1), got {d!r}")
+    _check_deltas(delta1, delta2)
     m = np.array([[1.0 - delta1, delta1], [1.0 - delta2, delta2]])
     return make_channel(m, label=f"binary(delta1={delta1:g}, delta2={delta2:g})")
 

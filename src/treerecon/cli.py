@@ -1,6 +1,11 @@
 """Command-line front end: channel constants, bound tables, identity
 verification suites, and broadcast simulations.
 
+Every command builds one report dict, which is exactly the JSON it prints.
+A per-command View describes how that report prints as CSV and as a table,
+so live output and re-rendered --from-file output share one renderer per
+format.
+
 Exit codes: 0 success, 1 tolerance breach in verify, 2 input validation,
 3 numerical non-convergence, 64 usage.
 """
@@ -8,16 +13,18 @@ Exit codes: 0 success, 1 tolerance breach in verify, 2 input validation,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .bounds import (DELTA2_GRID, bound_report, report_to_dict,
-                     reports_from_json, reports_to_json, table1,
-                     table_from_csv, table_to_csv)
+from .bounds import DELTA2_GRID, BoundReport, bound_report, table1
 from .channels import (Channel, binary_channel, channel_from_json,
                        channel_to_json, potts_channel)
-from .errors import ChannelError, NoConvergence, NumericalUnderflow
+from .errors import ChannelError, NoConvergence
 from .oracle import (BAYES_TOL, LEMMA1_TOL, PROPAGATION_TOL, RECURSION_TOL,
                      bayes_vs_recursion, check_lemma1, check_lyapunov_bound,
                      check_main_recursion, check_propagation, run_suite)
@@ -31,6 +38,13 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
 
 LYAPUNOV_MARGIN_TOL = 1e-9
+# check of one verify instance -> largest difference that passes
+INSTANCE_TOLS = {"lemma1_diff": LEMMA1_TOL, "recursion_diff": RECURSION_TOL,
+                 "propagation_diff": PROPAGATION_TOL, "bayes_diff": BAYES_TOL}
+
+BOUND_NAMES = ("fk", "ks", "martin", "mp")
+SUITE_KEYS = ("max_recursion_diff", "max_lemma1_diff", "max_propagation_diff",
+              "max_bayes_diff", "max_enumeration_diff", "witness_instances")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,8 +56,190 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+# ---------------------------------------------------------------- reports
+
+
+@dataclass(frozen=True)
+class View:
+    """How one command's report prints as CSV and as a table.
+
+    rows(report) lists its records as flat dicts (a report read back from
+    CSV holds them under "rows").  CSV prints `columns`, each (key, format
+    spec, parser for --from-file), per record.  The table prints head(report),
+    column names if `header`, then the str.format template `line` per record
+    with cells formatted by `specs` or else the column spec.  A JSON report
+    given to --from-file must match `schema`.
+    """
+
+    rows: Callable[[dict], list]
+    line: str
+    columns: tuple = ()
+    specs: dict = field(default_factory=dict)
+    header: bool = False
+    head: Callable[[dict], list] = lambda report: []
+    schema: dict | None = None
+
+
+def _cell(value, spec: str = "") -> str:
+    """One value as text: None is blank, a boolean true/false (yes/no under
+    the spec "yn"), a list its formatted items joined by ", "."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return ("no", "yes")[value] if spec == "yn" else str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(_cell(v, spec) for v in value)
+    return format(value, spec)
+
+
+def render(report: dict, view: View, fmt: str) -> str:
+    """The report as json, csv or table text, without a final newline."""
+    if fmt == "json":
+        return json.dumps(report, indent=2, sort_keys=True)
+    from_csv = "rows" in report  # a report read back from CSV has only rows
+    rows = report["rows"] if from_csv else view.rows(report)
+    if fmt == "csv":
+        lines = [",".join(key for key, _, _ in view.columns)]
+        lines += [",".join(_cell(row[key], spec) for key, spec, _ in view.columns)
+                  for row in rows]
+        return "\n".join(lines)
+    specs = {key: spec for key, spec, _ in view.columns} | view.specs
+    lines = [] if from_csv else view.head(report)
+    if view.header:
+        lines.append(view.line.format_map({key: key for key, _, _ in view.columns}))
+    lines += [view.line.format_map({k: _cell(v, specs.get(k, ""))
+                                    for k, v in row.items()})
+              for row in rows]
+    return "\n".join(lines)
+
+
+def _check(obj, schema, where: str) -> None:
+    """Raise ValueError unless obj matches schema: a dict lists required
+    keys, a one-item list describes every element, a string is a literal,
+    anything else is a type (or tuple of types) for isinstance."""
+    if isinstance(schema, dict):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be an object")
+        for key, sub in schema.items():
+            if key not in obj:
+                raise ValueError(f"{where} lacks {key!r}")
+            _check(obj[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(obj, list):
+            raise ValueError(f"{where} must be a list")
+        for i, item in enumerate(obj):
+            _check(item, schema[0], f"{where}[{i}]")
+    elif isinstance(schema, str):
+        if obj != schema:
+            raise ValueError(f"{where} is {obj!r}, expected {schema!r}")
+    elif not isinstance(obj, schema):
+        raise ValueError(f"{where} has type {type(obj).__name__}")
+
+
+def _load(path: str, command: str, view: View) -> dict:
+    """A report that the same command printed earlier, read back from JSON
+    or, as {"command", "rows"}, from CSV."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    if text.lstrip().startswith("{"):
+        report = json.loads(text)
+        _check(report, view.schema, f"{path}: report")
+        return report
+    keys = [key for key, _, _ in view.columns]
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames != keys:
+        raise ValueError(f"{path}: expected a JSON report or the CSV header "
+                         f"{','.join(keys)!r}")
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"{path}: CSV line {reader.line_num} needs "
+                             f"{len(keys)} fields")
+        rows.append({key: None if row[key] == "" else parse(row[key])
+                     for key, _, parse in view.columns})
+    return {"command": command, "rows": rows}
+
+
+NUM = (int, float)
+OPT = (int, float, type(None))
+CONSTANTS = dict.fromkeys(BOUND_NAMES, OPT)
+
+
+def _bound_record(r: BoundReport) -> dict:
+    return {"channel": r.channel_desc, "branching": r.branching,
+            "delta1": r.delta1, "delta2": r.delta2, "verdicts": r.verdicts,
+            "constants": {name: getattr(r, name) for name in BOUND_NAMES}}
+
+
+def _verify_rows(report: dict) -> list:
+    checks = (report["checks"] if "checks" in report
+              else {key: report[key] for key in SUITE_KEYS})
+    return [{"key": key, "value": value}
+            for key, value in [*checks.items(), ("ok", report["ok"])]]
+
+
+C_OF_M = View(
+    rows=lambda report: [report],
+    columns=(("value", ".6f", None), ("near_center_limit", ".6f", None),
+             ("near_center_is_max", "", None)),  # no --from-file
+    specs={"argmax": ".6f", "near_center_is_max": "yn"},
+    line="c = {value}\nargmax = [{argmax}]\n"
+         "near-center limit = {near_center_limit} "
+         "(is maximizer: {near_center_is_max})\n"
+         "method = {method}; starts = {starts}; seed = {seed}",
+)
+
+BOUNDS = View(
+    rows=lambda report: [
+        {"bound": name, "constant": rep["constants"][name],
+         "verdict": rep["verdicts"].get(name, "")}
+        for rep in report["reports"]
+        for name in BOUND_NAMES if rep["constants"][name] is not None
+    ],
+    columns=(("bound", "", str), ("constant", ".4f", float),
+             ("verdict", "", str)),
+    line="  {bound:<8} {constant}  {verdict}",
+    head=lambda report: [
+        f"channel: {rep['channel']}" + ("" if rep["branching"] is None else
+                                        f"   branching: {rep['branching']:g}")
+        for rep in report["reports"][:1]],
+    schema={"command": "bounds",
+            "reports": [{"channel": str, "branching": OPT,
+                         "constants": CONSTANTS, "verdicts": dict}]},
+)
+
+TABLE1 = View(
+    rows=lambda report: [{"delta2": rep["delta2"], **rep["constants"]}
+                         for rep in report["reports"]],
+    columns=tuple((key, ".4f", float)
+                  for key in ("delta2", "ks", "fk", "martin", "mp")),
+    line="{delta2:>8}  {ks:>8}  {fk:>8}  {martin:>8}  {mp:>8}",
+    header=True,
+    schema={"command": "table1",
+            "reports": [{"delta2": OPT, "constants": CONSTANTS}]},
+)
+
+VERIFY = View(
+    rows=_verify_rows,
+    line="{key} = {value}",
+    head=lambda report: [] if "checks" in report else [
+        f"instances = {report['count']}  seed = {report['seed']}"],
+)
+
+SIMULATE = View(
+    rows=lambda report: report["results"],
+    columns=(("depth", "", int), ("mean_L", "", float), ("stderr", "", float),
+             ("samples", "", int)),
+    specs={"mean_L": ".6g", "stderr": ".6g"},
+    line="{depth:>5}  {mean_L:>12}  {stderr:>12}  {samples:>8}",
+    header=True,
+    schema={"command": "simulate",
+            "results": [{"depth": int, "mean_L": NUM, "stderr": NUM,
+                         "samples": int}]},
+)
+
+
+# ---------------------------------------------------------------- arguments
 
 
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
@@ -67,12 +263,17 @@ def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--grid-points", type=int, default=200_000)
 
 
-def _add_common_args(p: argparse.ArgumentParser, *, default_format=None) -> None:
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default=default_format)
+def _add_common_args(p: argparse.ArgumentParser, func, view: View, *,
+                     default_format: str) -> None:
+    formats = ("json", "csv", "table") if view.columns else ("json", "table")
+    p.add_argument("--format", choices=formats, default=default_format)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads; 0 = one per CPU "
                         "(default: TREE_RECON_THREADS or 1)")
+    if view.schema is not None:
+        p.add_argument("--from-file", metavar="PATH",
+                       help="re-render a report this command printed")
+    p.set_defaults(func=func, view=view)
 
 
 def _resolve_channel(args) -> Channel:
@@ -113,12 +314,6 @@ def _threads(args) -> int | None:
     return None if value == 0 else value
 
 
-def _format(args, default_pipe="csv") -> str:
-    if args.format is not None:
-        return args.format
-    return "table" if sys.stdout.isatty() else default_pipe
-
-
 def _parse_tree(text: str, depth: int) -> TreeSpec:
     kind, _, params = text.partition(":")
     if kind == "regular":
@@ -145,14 +340,15 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(a, b + 1))
 
 
-# ---------------------------------------------------------------- c-of-m
+# ---------------------------------------------------------------- commands
+# Each handler computes its command's report; main() renders it.
 
 
-def _cmd_c_of_m(args) -> int:
+def _cmd_c_of_m(args) -> dict:
     channel = _resolve_channel(args)
     result = compute_c(channel, _optimizer_config(args), threads=_threads(args))
     trace = result.trace
-    report = {
+    return {
         "command": "c-of-m",
         "channel": channel_to_json(channel),
         "value": round(result.value, 6),
@@ -163,205 +359,63 @@ def _cmd_c_of_m(args) -> int:
         "starts": int(trace.starts),
         "seed": int(trace.seed),
     }
-    fmt = _format(args)
-    if fmt == "json":
-        print(_json_text(report))
-    elif fmt == "csv":
-        print("value,near_center_limit,near_center_is_max")
-        flag = "true" if report["near_center_is_max"] else "false"
-        print(f"{result.value:.6f},{trace.near_center_value:.6f},{flag}")
-    else:
-        print(f"c = {result.value:.6f}")
-        print("argmax = [" + ", ".join(f"{x:.6f}" for x in result.argmax) + "]")
-        yn = "yes" if trace.near_center_is_max else "no"
-        print(f"near-center limit = {trace.near_center_value:.6f} (is maximizer: {yn})")
-        print(f"method = {trace.method}; starts = {trace.starts}; seed = {trace.seed}")
-    return EXIT_OK
 
 
-# ---------------------------------------------------------------- bounds
-
-
-def _bounds_csv(report) -> str:
-    lines = ["bound,constant,verdict"]
-    for name in ("fk", "ks", "martin", "mp"):
-        value = getattr(report, name)
-        if value is None:
-            continue
-        verdict = report.verdicts.get(name, "")
-        lines.append(f"{name},{value:.4f},{verdict}")
-    return "\n".join(lines) + "\n"
-
-
-def _bounds_csv_rows(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "bound,constant,verdict":
-        raise ValueError("expected header 'bound,constant,verdict'")
-    rows = []
-    for ln in lines[1:]:
-        name, value, verdict = ln.split(",", 2)
-        rows.append({"bound": name, "constant": float(value), "verdict": verdict})
-    return rows
-
-
-def _render_bounds_rows(rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        print(_json_text({"command": "bounds", "rows": rows}))
-    elif fmt == "csv":
-        print("bound,constant,verdict")
-        for r in rows:
-            print(f"{r['bound']},{r['constant']:.4f},{r['verdict']}")
-    else:
-        for r in rows:
-            print(f"{r['bound']:<8} {r['constant']:.4f}  {r['verdict']}")
-
-
-def _cmd_bounds(args) -> int:
-    fmt = _format(args)
-    if args.from_file:
-        with open(args.from_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        if text.lstrip().startswith("{"):
-            obj = reports_from_json(text)
-            if fmt == "json":
-                print(_json_text(obj))
-            else:
-                for rep in obj["reports"]:
-                    rows = [
-                        {"bound": k, "constant": v,
-                         "verdict": rep["verdicts"].get(k, "")}
-                        for k, v in sorted(rep["constants"].items())
-                        if v is not None
-                    ]
-                    _render_bounds_rows(rows, fmt)
-        else:
-            _render_bounds_rows(_bounds_csv_rows(text), fmt)
-        return EXIT_OK
+def _cmd_bounds(args) -> dict:
     channel = _resolve_channel(args)
     report = bound_report(channel, args.branching,
                           config=_optimizer_config(args), threads=_threads(args))
-    if fmt == "json":
-        print(reports_to_json([report], command="bounds", seed=int(args.seed)),
-              end="")
-    elif fmt == "csv":
-        print(_bounds_csv(report), end="")
-    else:
-        head = f"channel: {report.channel_desc}"
-        if report.branching is not None:
-            head += f"   branching: {report.branching:g}"
-        print(head)
-        for name in ("fk", "ks", "martin", "mp"):
-            value = getattr(report, name)
-            if value is None:
-                continue
-            verdict = report.verdicts.get(name, "")
-            print(f"  {name:<8} {value:.4f}  {verdict}")
-    return EXIT_OK
+    return {"command": "bounds", "seed": int(args.seed),
+            "reports": [_bound_record(report)]}
 
 
-# ---------------------------------------------------------------- table1
-
-
-def _render_table_rows(rows: list[dict], fmt: str) -> None:
-    cols = ("delta2", "ks", "fk", "martin", "mp")
-    if fmt == "json":
-        print(_json_text({"command": "table1", "rows": rows}))
-    elif fmt == "csv":
-        print(",".join(cols))
-        for r in rows:
-            print(",".join("" if r[c] is None else f"{r[c]:.4f}" for c in cols))
-    else:
-        print("  ".join(f"{c:>8}" for c in cols))
-        for r in rows:
-            print("  ".join("        " if r[c] is None else f"{r[c]:8.4f}"
-                            for c in cols))
-
-
-def _cmd_table1(args) -> int:
-    fmt = _format(args)
-    if args.from_file:
-        with open(args.from_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        if text.lstrip().startswith("{"):
-            obj = reports_from_json(text)
-            rows = [
-                {"delta2": rep.get("delta2"),
-                 "ks": rep["constants"]["ks"], "fk": rep["constants"]["fk"],
-                 "martin": rep["constants"]["martin"],
-                 "mp": rep["constants"]["mp"]}
-                for rep in obj["reports"]
-            ]
-        else:
-            rows = table_from_csv(text)
-        _render_table_rows(rows, fmt)
-        return EXIT_OK
+def _cmd_table1(args) -> dict:
     delta2_list = DELTA2_GRID
     if args.delta2_list:
         delta2_list = tuple(float(x) for x in args.delta2_list.split(","))
     reports = table1(args.delta1, delta2_list, args.branching,
                      config=_optimizer_config(args), threads=_threads(args))
-    if fmt == "json":
-        print(reports_to_json(reports, command="table1",
-                              delta1=float(args.delta1), seed=int(args.seed)),
-              end="")
-    elif fmt == "csv":
-        print(table_to_csv(reports), end="")
-    else:
-        rows = [
-            {"delta2": rep.delta2, "ks": rep.ks, "fk": rep.fk,
-             "martin": rep.martin, "mp": rep.mp}
-            for rep in reports
-        ]
-        _render_table_rows(rows, fmt)
-    return EXIT_OK
+    return {"command": "table1", "delta1": float(args.delta1),
+            "seed": int(args.seed),
+            "reports": [_bound_record(r) for r in reports]}
 
 
-# ---------------------------------------------------------------- verify
-
-
-def _cmd_verify(args) -> int:
-    fmt = args.format or "json"
+def _cmd_verify(args) -> dict:
     if args.channel is None and args.family is None:
+        if args.suite != "all":
+            raise ValueError(f"--suite {args.suite} checks one instance: give "
+                             "a channel, --tree and --depth")
         report = run_suite(seed=args.seed, count=args.count)
-        report["command"] = "verify"
-        report["suite"] = args.suite
+        report.update(command="verify", suite=args.suite)
         if not args.verbose:
             report.pop("instances")
-        print(_json_text(report) if fmt == "json" else _suite_table(report))
-        return EXIT_OK if report["ok"] else EXIT_TOLERANCE
+        return report
     channel = _resolve_channel(args)
     if args.tree is None or args.depth is None:
         raise ChannelError("instance verification needs --tree and --depth")
     spec = _parse_tree(args.tree, args.depth)
     tree = sample_tree(spec, args.seed)
-    checks: dict = {}
-    ok = True
     want = args.suite
+    checks: dict = {}
     if want in ("lemma1", "all"):
-        diff = check_lemma1(tree, channel, 0)
-        checks["lemma1_diff"] = diff
-        ok = ok and diff <= LEMMA1_TOL
+        checks["lemma1_diff"] = check_lemma1(tree, channel, 0)
     if want in ("recursion", "all"):
         rec = check_main_recursion(tree, channel, 0)
         checks["recursion_diff"] = rec.abs_diff
         checks["pointwise_violations"] = rec.pointwise_violations
         checks["max_pointwise_gap"] = rec.max_pointwise_gap
-        ok = ok and rec.abs_diff <= RECURSION_TOL
     if want in ("propagation", "all"):
-        diff = check_propagation(tree, channel, 0)
-        checks["propagation_diff"] = diff
-        ok = ok and diff <= PROPAGATION_TOL
+        checks["propagation_diff"] = check_propagation(tree, channel, 0)
     if want in ("lyapunov", "all"):
-        margin = check_lyapunov_bound(tree, channel, 0,
-                                      config=_optimizer_config(args),
-                                      threads=_threads(args))
-        checks["lyapunov_margin"] = margin
-        ok = ok and margin >= -LYAPUNOV_MARGIN_TOL
+        checks["lyapunov_margin"] = check_lyapunov_bound(
+            tree, channel, 0, config=_optimizer_config(args),
+            threads=_threads(args))
     if want == "all":
-        diff = bayes_vs_recursion(tree, channel)
-        checks["bayes_diff"] = diff
-        ok = ok and diff <= BAYES_TOL
-    report = {
+        checks["bayes_diff"] = bayes_vs_recursion(tree, channel)
+    ok = (all(checks[key] <= tol for key, tol in INSTANCE_TOLS.items()
+              if key in checks)
+          and checks.get("lyapunov_margin", 0.0) >= -LYAPUNOV_MARGIN_TOL)
+    return {
         "command": "verify",
         "suite": want,
         "channel": channel_to_json(channel),
@@ -371,28 +425,22 @@ def _cmd_verify(args) -> int:
         "checks": checks,
         "ok": bool(ok),
     }
-    if fmt == "json":
-        print(_json_text(report))
+
+
+def _cmd_simulate(args) -> dict:
+    channel = _resolve_channel(args)
+    if args.tree is None:
+        raise ChannelError("simulate needs --tree")
+    if args.depth_sweep:
+        depths = _parse_sweep(args.depth_sweep)
+    elif args.depth is not None:
+        depths = [args.depth]
     else:
-        for key, value in checks.items():
-            print(f"{key} = {value}")
-        print(f"ok = {str(report['ok']).lower()}")
-    return EXIT_OK if ok else EXIT_TOLERANCE
-
-
-def _suite_table(report: dict) -> str:
-    keys = ("max_recursion_diff", "max_lemma1_diff", "max_propagation_diff",
-            "max_bayes_diff", "max_enumeration_diff", "witness_instances")
-    lines = [f"instances = {report['count']}  seed = {report['seed']}"]
-    lines += [f"{k} = {report[k]}" for k in keys]
-    lines.append(f"ok = {str(report['ok']).lower()}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------- simulate
-
-
-def _sweep_report(args, channel, estimates) -> dict:
+        raise ChannelError("simulate needs --depth or --depth-sweep")
+    spec = _parse_tree(args.tree, depths[0])
+    estimates = depth_sweep(spec, channel, depths, args.samples, args.seed,
+                            mode=args.mode, threads=_threads(args),
+                            max_nodes=args.max_nodes)
     return {
         "command": "simulate",
         "channel": channel_to_json(channel),
@@ -408,73 +456,6 @@ def _sweep_report(args, channel, estimates) -> dict:
     }
 
 
-def _sweep_csv(results: list[dict]) -> str:
-    lines = ["depth,mean_L,stderr,samples"]
-    for r in results:
-        lines.append(f"{r['depth']},{r['mean_L']!r},{r['stderr']!r},{r['samples']}")
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_rows_from_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "depth,mean_L,stderr,samples":
-        raise ValueError("expected header 'depth,mean_L,stderr,samples'")
-    rows = []
-    for ln in lines[1:]:
-        depth, mean, stderr, samples = ln.split(",")
-        rows.append({"depth": int(depth), "mean_L": float(mean),
-                     "stderr": float(stderr), "samples": int(samples)})
-    return rows
-
-
-def _render_sweep(report_or_rows, fmt: str) -> None:
-    if isinstance(report_or_rows, dict):
-        rows = report_or_rows["results"]
-        obj = report_or_rows
-    else:
-        rows = report_or_rows
-        obj = {"command": "simulate", "results": rows}
-    if fmt == "json":
-        print(_json_text(obj))
-    elif fmt == "csv":
-        print(_sweep_csv(rows), end="")
-    else:
-        print(f"{'depth':>5}  {'mean_L':>12}  {'stderr':>12}  {'samples':>8}")
-        for r in rows:
-            print(f"{r['depth']:>5}  {r['mean_L']:12.6g}  {r['stderr']:12.6g}"
-                  f"  {r['samples']:>8}")
-
-
-def _cmd_simulate(args) -> int:
-    fmt = args.format or "json"
-    if args.from_file:
-        with open(args.from_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-            if "results" not in obj:
-                raise ValueError("simulation JSON needs a 'results' list")
-            _render_sweep(obj, fmt)
-        else:
-            _render_sweep(_sweep_rows_from_csv(text), fmt)
-        return EXIT_OK
-    channel = _resolve_channel(args)
-    if args.tree is None:
-        raise ChannelError("simulate needs --tree")
-    if args.depth_sweep:
-        depths = _parse_sweep(args.depth_sweep)
-    elif args.depth is not None:
-        depths = [args.depth]
-    else:
-        raise ChannelError("simulate needs --depth or --depth-sweep")
-    spec = _parse_tree(args.tree, depths[0])
-    estimates = depth_sweep(spec, channel, depths, args.samples, args.seed,
-                            mode=args.mode, threads=_threads(args),
-                            max_nodes=args.max_nodes)
-    _render_sweep(_sweep_report(args, channel, estimates), fmt)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- wiring
 
 
@@ -483,39 +464,35 @@ def build_parser() -> _Parser:
                      description="Non-reconstruction constants and broadcast "
                                  "simulations for Markov channels on trees.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # constants and tables print as a table on a terminal, CSV when piped
+    shown = "table" if sys.stdout.isatty() else "csv"
 
     p = sub.add_parser("c-of-m", help="variational constant c(M) of a channel")
     _add_channel_args(p)
     _add_optimizer_args(p)
-    _add_common_args(p)
-    p.set_defaults(func=_cmd_c_of_m)
+    _add_common_args(p, _cmd_c_of_m, C_OF_M, default_format=shown)
 
     p = sub.add_parser("bounds", help="bound constants and verdicts at a "
                                       "branching number")
     _add_channel_args(p)
     _add_optimizer_args(p)
-    _add_common_args(p)
+    _add_common_args(p, _cmd_bounds, BOUNDS, default_format=shown)
     p.add_argument("--branching", type=float, default=None,
                    help="branching number d for verdicts")
-    p.add_argument("--from-file", metavar="PATH",
-                   help="re-render a previously emitted report")
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table1", help="bound table for two-state channels "
                                       "over a delta2 grid")
     _add_optimizer_args(p)
-    _add_common_args(p)
+    _add_common_args(p, _cmd_table1, TABLE1, default_format=shown)
     p.add_argument("--delta1", type=float, default=0.3)
     p.add_argument("--delta2-list", metavar="P1,P2,...",
                    help="comma-separated delta2 values (default: standard grid)")
     p.add_argument("--branching", type=float, default=None)
-    p.add_argument("--from-file", metavar="PATH")
-    p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("verify", help="exact identity checks on small trees")
     _add_channel_args(p)
     _add_optimizer_args(p)
-    _add_common_args(p)
+    _add_common_args(p, _cmd_verify, VERIFY, default_format="json")
     p.add_argument("--suite",
                    choices=("lemma1", "recursion", "propagation", "lyapunov",
                             "all"),
@@ -526,11 +503,10 @@ def build_parser() -> _Parser:
                    help="instances in the randomized suite")
     p.add_argument("--verbose", action="store_true",
                    help="include per-instance rows in the suite report")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo root-entropy decay")
     _add_channel_args(p)
-    _add_common_args(p)
+    _add_common_args(p, _cmd_simulate, SIMULATE, default_format="json")
     p.add_argument("--tree", help="regular:d=<int> or gw:pmf=p1,p2,...")
     p.add_argument("--depth", type=int)
     p.add_argument("--depth-sweep", metavar="A..B")
@@ -539,8 +515,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("annealed", "quenched"),
                    default="annealed")
     p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.add_argument("--from-file", metavar="PATH")
-    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
@@ -552,13 +526,16 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        path = getattr(args, "from_file", None)
+        report = _load(path, args.command, args.view) if path else args.func(args)
+        print(render(report, args.view, args.format))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NoConvergence, NumericalUnderflow) as exc:
+    except (NoConvergence, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    return EXIT_OK if report.get("ok", True) else EXIT_TOLERANCE
 
 
 def entry() -> None:

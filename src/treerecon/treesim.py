@@ -341,18 +341,20 @@ class RootEntropyEstimate:
     seed: int
 
 
-def _run_chunks(work, samples: int, threads: int | None) -> None:
+def _run_chunks(work, samples: int, threads: int | None) -> tuple[float, float]:
+    """Mean and standard error of the values that work(values, lo, hi) writes
+    to values[lo:hi], chunk by chunk."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    values = np.empty(samples)
     chunks = [(c, min(c + _CHUNK, samples)) for c in range(0, samples, _CHUNK)]
     n_workers = _resolve_threads(threads)
     if n_workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda ab: work(*ab), chunks))
+            list(pool.map(lambda ab: work(values, *ab), chunks))
     else:
         for lo, hi in chunks:
-            work(lo, hi)
-
-
-def _estimate(values: np.ndarray) -> tuple[float, float]:
+            work(values, lo, hi)
     if not np.all(np.isfinite(values)):
         raise NumericalUnderflow("a root belief entry underflowed to exact zero, "
                                  "making its entropy infinite")
@@ -373,36 +375,24 @@ def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 
     coincide for regular trees.
     """
     samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if mode not in ("annealed", "quenched"):
         raise ValueError(f"mode must be 'annealed' or 'quenched', got {mode!r}")
     seed = int(seed)
-    values = np.empty(samples)
-
     if spec.kind == "regular" or mode == "quenched":
-        if spec.kind == "regular":
-            tree = _regular_tree(spec.degree, spec.depth, max_nodes)
-        else:
-            tree = _sample_gw(spec, np.random.default_rng([seed]), max_nodes)
-        n = tree.n_nodes
+        tree = sample_tree(spec, rng=np.random.default_rng([seed]),
+                           max_nodes=max_nodes)
+        est = mc_root_entropy_fixed_tree(tree, channel, samples, seed,
+                                         threads=threads)
+        return replace(est, mode=mode)
 
-        def work(lo: int, hi: int) -> None:
-            u = np.empty((hi - lo, n))
-            for i in range(lo, hi):
-                u[i - lo] = np.random.default_rng([seed, i]).random(n)
-            values[lo:hi] = _root_entropy_values(tree, channel, u)
-    else:
+    def work(values: np.ndarray, lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            rng = np.random.default_rng([seed, i])
+            tree = _sample_gw(spec, rng, max_nodes)
+            u = rng.random(tree.n_nodes)
+            values[i] = _root_entropy_values(tree, channel, u[None, :])[0]
 
-        def work(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                rng = np.random.default_rng([seed, i])
-                tree = _sample_gw(spec, rng, max_nodes)
-                u = rng.random(tree.n_nodes)
-                values[i] = _root_entropy_values(tree, channel, u[None, :])[0]
-
-    _run_chunks(work, samples, threads)
-    mean, stderr = _estimate(values)
+    mean, stderr = _run_chunks(work, samples, threads)
     return RootEntropyEstimate(mean, stderr, samples, spec.depth, mode, seed)
 
 
@@ -411,20 +401,16 @@ def mc_root_entropy_fixed_tree(tree: SampledTree, channel: Channel, samples: int
                                ) -> RootEntropyEstimate:
     """Monte Carlo estimate on an explicitly given tree realization."""
     samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     seed = int(seed)
-    values = np.empty(samples)
     n = tree.n_nodes
 
-    def work(lo: int, hi: int) -> None:
+    def work(values: np.ndarray, lo: int, hi: int) -> None:
         u = np.empty((hi - lo, n))
         for i in range(lo, hi):
             u[i - lo] = np.random.default_rng([seed, i]).random(n)
         values[lo:hi] = _root_entropy_values(tree, channel, u)
 
-    _run_chunks(work, samples, threads)
-    mean, stderr = _estimate(values)
+    mean, stderr = _run_chunks(work, samples, threads)
     return RootEntropyEstimate(mean, stderr, samples, tree.depth, "fixed-tree", seed)
 
 

@@ -28,9 +28,9 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize, minimize_scalar
 
-from .channels import Channel, _normalize_exact, _readonly
+from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
 from .entropy import symmetrized_entropy, symmetrized_entropy_rows
-from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
+from .errors import BadDimension, CenterSingularity, NoConvergence
 
 CENTER_ATOL = 1e-12
 GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
@@ -283,11 +283,9 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None,
     """
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise BadDimension(f"potts objective needs integer q >= 2, got {q!r}")
-    if not math.isfinite(beta):
-        raise ChannelError(f"beta must be finite, got {beta!r}")
     cfg = config or OptimizerConfig()
     threads = _resolve_threads(threads)
-    e2b = math.exp(2.0 * beta)
+    e2b = _potts_e2b(beta)
     g = e2b - 1.0
     lam = g / (e2b + q - 1.0)
     u = np.full(q, 1.0 / q)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -16,10 +15,7 @@ from treerecon import (
     mp_constant,
     potts_channel,
     table1,
-    table_from_csv,
-    table_to_csv,
 )
-from treerecon.bounds import reports_from_json, reports_to_json
 
 
 @pytest.fixture(scope="module")
@@ -139,31 +135,3 @@ def test_table_structure_and_ordering(quick_config):
     for value in (sym.ks, sym.fk, sym.martin, sym.mp):
         assert abs(value - 0.16) <= 1e-6
 
-
-def test_table_csv_round_trip(quick_config):
-    reports = table1(0.3, (0.2, 0.8), config=quick_config)
-    text = table_to_csv(reports)
-    rows = table_from_csv(text)
-    assert len(rows) == 2
-    for row, rep in zip(rows, reports):
-        assert row["delta2"] == round(rep.delta2, 4)
-        assert abs(row["fk"] - rep.fk) <= 5e-5
-        assert abs(row["ks"] - rep.ks) <= 5e-5
-    with pytest.raises(ValueError):
-        table_from_csv("")
-    with pytest.raises(ValueError):
-        table_from_csv("a,b\n1,2\n")
-
-
-def test_reports_json_round_trip(binary_0301, quick_config):
-    reports = [bound_report(binary_0301, 17.0, config=quick_config)]
-    text = reports_to_json(reports, command="bounds", seed=0)
-    obj = reports_from_json(text)
-    assert obj["command"] == "bounds"
-    rep = obj["reports"][0]
-    assert rep["constants"]["ks"] == pytest.approx(0.04, abs=1e-12)
-    assert rep["verdicts"]["fk"] == "non-reconstruction proven"
-    with pytest.raises(ValueError):
-        reports_from_json(json.dumps({"nope": 1}))
-    with pytest.raises(ValueError):
-        reports_from_json(json.dumps({"reports": [{"constants": {}}]}))

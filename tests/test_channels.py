@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treerecon import (
@@ -18,7 +18,6 @@ from treerecon import (
     make_channel,
     permute_channel,
     potts_channel,
-    reverse,
     second_eigenvalue,
     stationary_distribution,
 )
@@ -73,6 +72,7 @@ def test_immutability():
 
 @RELAXED
 @given(st.integers(0, 10**6), st.integers(2, 6))
+@example(617814, 6)  # the largest entry's correction alone oscillates
 def test_stationary_residual(seed, q):
     ch = random_channel(seed, q)
     assert np.abs(ch.stationary @ ch.matrix - ch.stationary).max() <= 1e-12
@@ -99,7 +99,6 @@ def test_two_state_chains_are_reversible(binary_0301):
     # every 2-state chain satisfies detailed balance, so reversal is a no-op
     np.testing.assert_allclose(binary_0301.reversed, binary_0301.matrix,
                                atol=1e-15)
-    assert reverse(binary_0301) is binary_0301.reversed
 
 
 def test_potts_matrix_values():

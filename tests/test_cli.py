@@ -70,6 +70,7 @@ def test_validation_failures_exit_2(run_cli):
         ["c-of-m"],
         ["c-of-m", "--family", "potts", "--q", "2", "--beta", "0.5",
          "--threads", "-1"],
+        ["bounds", "--family", "potts", "--q", "2", "--beta", "400"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv)
@@ -85,6 +86,9 @@ def test_usage_failures_exit_64(run_cli):
     assert code == 64
     assert "usage" in err
     code, _, err = run_cli(["c-of-m", "--format", "yaml"])
+    assert code == 64
+    # verify prints json or a table only
+    code, _, err = run_cli(["verify", "--count", "1", "--format", "csv"])
     assert code == 64
 
 
@@ -195,6 +199,11 @@ def test_verify_suite_mode(run_cli):
                             "--verbose"])
     assert code == 0
     assert len(json.loads(out)["instances"]) == 3
+    # the randomized suite always runs every check
+    code, out, err = run_cli(["verify", "--count", "3", "--suite", "lemma1"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_instance_mode(run_cli):
@@ -309,6 +318,61 @@ def test_simulate_bad_inputs(run_cli, tmp_path):
         code, _, err = run_cli(argv)
         assert code == 2, argv
         assert "error:" in err
+
+
+FROM_FILE_LIVE = {
+    "bounds": ["bounds", "--family", "binary", "--delta1", "0.3",
+               "--delta2", "0.1", "--branching", "17", *QUICK],
+    "table1": ["table1", "--delta2-list", "0.2,0.8", "--branching", "17",
+               *QUICK],
+    "simulate": ["simulate", "--family", "potts", "--q", "3", "--beta", "0.8",
+                 "--tree", "gw:pmf=0.5,0.5", "--depth-sweep", "2..3",
+                 "--samples", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROM_FILE_LIVE))
+def test_from_file_json_renders_like_live(run_cli, tmp_path, command):
+    live = {}
+    for fmt in ("json", "csv", "table"):
+        code, live[fmt], _ = run_cli([*FROM_FILE_LIVE[command], "--format", fmt])
+        assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(live["json"], encoding="utf-8")
+    for fmt in ("json", "csv", "table"):
+        code, out, _ = run_cli([command, "--from-file", str(path),
+                                "--format", fmt])
+        assert code == 0
+        assert out == live[fmt], fmt
+
+
+BOUNDS_LACKING_CONSTANTS = {"command": "bounds", "reports": [
+    {"channel": "matrix", "branching": 2.0, "verdicts": {}}]}
+BAD_FROM_FILE = {
+    "reports-not-a-list": ("bounds", '{"reports": 5}', "json"),
+    "results-of-numbers": ("simulate", '{"results": [1]}', "csv"),
+    "no-reports-key": ("bounds", '{"nope": 1}', "table"),
+    "empty-constants": ("table1", '{"command": "table1", "reports": '
+                                  '[{"delta2": 0.2, "constants": {}}]}', "csv"),
+    "lacks-constants": ("bounds", json.dumps(BOUNDS_LACKING_CONSTANTS), "table"),
+    "other-command": ("table1", '{"command": "simulate", "results": []}', "json"),
+    "empty-file": ("table1", "", "csv"),
+    "wrong-header": ("table1", "a,b\n1,2\n", "table"),
+    "short-row": ("simulate", "depth,mean_L,stderr,samples\n2,0.5,0.1\n", "json"),
+    "not-a-number": ("bounds", "bound,constant,verdict\nfk,high,\n", "csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FROM_FILE))
+def test_from_file_bad_input_exits_2(run_cli, tmp_path, case):
+    command, text, fmt = BAD_FROM_FILE[case]
+    path = tmp_path / "report"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([command, "--from-file", str(path),
+                              "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_threads_environment_fallback(run_cli, monkeypatch):

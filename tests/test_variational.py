@@ -6,6 +6,7 @@ import pytest
 from treerecon import (
     BadDimension,
     CenterSingularity,
+    NonPositiveEntry,
     OptimizerConfig,
     compute_c,
     make_channel,
@@ -94,6 +95,15 @@ def test_potts_reduction_q2():
     # tanh^2(beta) = tanh(beta) * cbar forces cbar = tanh(beta)
     for beta in (0.4, 1.1):
         assert abs(potts_cbar(2, beta) - math.tanh(beta)) <= 1e-6
+
+
+def test_potts_overflow_is_a_validation_error():
+    # e^{2 beta} overflows, so the off-diagonal entry is below every normal
+    # double
+    with pytest.raises(NonPositiveEntry):
+        potts_channel(2, 400.0)
+    with pytest.raises(NonPositiveEntry):
+        potts_cbar(3, 400.0)
 
 
 def test_potts_reduction_q3():
