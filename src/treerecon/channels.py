@@ -66,7 +66,7 @@ def as_belief(vec, q: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ChannelError("belief entries must be finite and nonnegative")
     if abs(p.sum() - 1.0) > BELIEF_SUM_ATOL:
-        raise ChannelError(f"belief sums to {p.sum()!r}, not 1 within {BELIEF_SUM_ATOL}")
+        raise ChannelError(f"belief sums to {float(p.sum())!r}, not 1 within {BELIEF_SUM_ATOL}")
     return p
 
 
@@ -104,7 +104,7 @@ def _validate_matrix(matrix) -> np.ndarray:
     bad = np.abs(rows - 1.0) > ROW_SUM_ATOL
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NotStochastic(f"row {i} sums to {rows[i]!r}, not 1 within {ROW_SUM_ATOL}")
+        raise NotStochastic(f"row {i} sums to {float(rows[i])!r}, not 1 within {ROW_SUM_ATOL}")
     # exact renormalization after validation
     m = m / rows[:, None]
     out = np.empty_like(m)
@@ -115,6 +115,15 @@ def _validate_matrix(matrix) -> np.ndarray:
 
 def _stationary_residual(alpha: np.ndarray, m: np.ndarray) -> float:
     return float(np.max(np.abs(alpha @ m - alpha)))
+
+
+def _positive(alpha: np.ndarray) -> np.ndarray:
+    # Near the identity the residual check holds for any alpha, so a solve
+    # can return a zero entry, which the reversed kernel would divide by.
+    if np.any(alpha <= 0.0):
+        raise NoConvergence("stationary distribution has a zero entry: the "
+                            "channel is too close to the identity to resolve it")
+    return alpha
 
 
 def _stationary_of(m: np.ndarray, max_iter: int = 20000) -> np.ndarray:
@@ -129,14 +138,14 @@ def _stationary_of(m: np.ndarray, max_iter: int = 20000) -> np.ndarray:
         a = np.abs(a)
         a = _normalize_exact(a)
         if _stationary_residual(a, m) <= STATIONARY_RESIDUAL:
-            return a
+            return _positive(a)
     except np.linalg.LinAlgError:
         a = np.full(q, 1.0 / q)
     # power-iteration fallback
     for _ in range(max_iter):
         a = _normalize_exact(a @ m)
         if _stationary_residual(a, m) <= STATIONARY_RESIDUAL:
-            return a
+            return _positive(a)
     raise NoConvergence(
         f"stationary distribution residual {_stationary_residual(a, m):.3e} "
         f"did not reach {STATIONARY_RESIDUAL}"
@@ -185,9 +194,12 @@ def second_eigenvalue(channel: Channel) -> float:
     return float(mods[-2])
 
 
-def _potts_e2b(beta: float) -> float:
-    """e^{2 beta} for a Potts channel; where it overflows, the off-diagonal
-    entry 1 / (e^{2 beta} + q - 1) lies below the smallest normal double."""
+def _potts_e2b(q: int, beta: float) -> float:
+    """e^{2 beta} for a Potts channel on q states; where it overflows, the
+    off-diagonal entry 1 / (e^{2 beta} + q - 1) lies below the smallest
+    normal double."""
+    if not isinstance(q, (int, np.integer)) or q < 2:
+        raise BadDimension(f"Potts q must be an integer >= 2, got {q!r}")
     if not math.isfinite(beta):
         raise ChannelError(f"beta must be finite, got {beta!r}")
     try:
@@ -200,9 +212,7 @@ def _potts_e2b(beta: float) -> float:
 def potts_channel(q: int, beta: float) -> Channel:
     """Potts channel: diagonal e^{2 beta} / (e^{2 beta} + q - 1), off-diagonal
     1 / (e^{2 beta} + q - 1).  Symmetric, stationary law uniform."""
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise BadDimension(f"potts channel needs integer q >= 2, got {q!r}")
-    e2b = _potts_e2b(beta)
+    e2b = _potts_e2b(q, beta)
     denom = e2b + q - 1.0
     m = np.full((q, q), 1.0 / denom)
     np.fill_diagonal(m, e2b / denom)

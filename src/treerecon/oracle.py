@@ -83,38 +83,53 @@ def _config_count(q: int, n_leaves: int, budget: int) -> int:
     return count
 
 
-def _fold_law(tree: SampledTree, channel: Channel, v: int) -> np.ndarray:
-    matrix = channel.matrix
-    q = channel.q
+def _product_step(matrix: np.ndarray, child_conds) -> np.ndarray:
+    # The law at a node given its spin is the product over its children of
+    # the channel applied to each child's law, configurations in mixed radix.
+    q = matrix.shape[0]
+    acc = np.ones((q, 1))
+    for cond in child_conds:
+        t = matrix @ cond
+        acc = (acc[:, :, None] * t[:, None, :]).reshape(q, -1)
+    return acc
 
-    def rec(u: int) -> np.ndarray:
+
+def _fold_law(tree: SampledTree, channel: Channel, v: int,
+              budget: int) -> dict[int, np.ndarray]:
+    """Conditioned boundary law of every node below v (v included), in one
+    bottom-up pass."""
+    _config_count(channel.q, int(_subtree_leaves(tree, v).size), budget)
+    laws: dict[int, np.ndarray] = {}
+    for u in reversed(_subtree_nodes(tree, v).tolist()):  # children before parents
         kids = tree.children(u)
-        if len(kids) == 0:
-            return np.eye(q)
-        acc = np.ones((q, 1))
-        for w in kids:
-            t = matrix @ rec(w)
-            acc = (acc[:, :, None] * t[:, None, :]).reshape(q, -1)
-        return acc
-
-    return rec(int(v))
+        laws[u] = (_product_step(channel.matrix, [laws[int(w)] for w in kids])
+                   if len(kids) else np.eye(channel.q))
+    return laws
 
 
-def _law_from_cond(node: int, leaves: np.ndarray, cond: np.ndarray,
+def _law_from_cond(tree: SampledTree, node: int, cond: np.ndarray,
                    alpha: np.ndarray) -> BoundaryLaw:
     free = alpha @ cond
     posterior = np.ascontiguousarray((alpha[:, None] * cond / free[None, :]).T)
-    return BoundaryLaw(int(node), leaves, cond, free, posterior)
+    return BoundaryLaw(int(node), _subtree_leaves(tree, node), cond, free, posterior)
 
 
 def enumerate_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0,
                             budget: int = DEFAULT_BUDGET) -> BoundaryLaw:
     """Exact boundary law of the subtree below ``node``, by summing out
     interior spins bottom-up."""
-    leaves = _subtree_leaves(tree, node)
-    _config_count(channel.q, int(leaves.size), budget)
-    cond = _fold_law(tree, channel, node)
-    return _law_from_cond(node, leaves, cond, channel.stationary)
+    cond = _fold_law(tree, channel, node, budget)[int(node)]
+    return _law_from_cond(tree, node, cond, channel.stationary)
+
+
+def _laws_with_children(tree: SampledTree, channel: Channel, node: int,
+                        budget: int) -> list[BoundaryLaw]:
+    """Boundary laws of ``node`` and then of each of its children, from one fold."""
+    kids = [int(w) for w in tree.children(int(node))]
+    if not kids:
+        raise TreeError(f"node {node} has no children")
+    conds = _fold_law(tree, channel, node, budget)
+    return [_law_from_cond(tree, u, conds[u], channel.stationary) for u in [int(node), *kids]]
 
 
 def brute_force_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0,
@@ -148,7 +163,7 @@ def brute_force_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0
     mass = np.zeros((q, n_configs))
     np.add.at(mass, (spins[:, 0].astype(np.int64), xi), probs)
     cond = mass / channel.stationary[:, None]
-    return _law_from_cond(node, leaves, cond, channel.stationary)
+    return _law_from_cond(tree, node, cond, channel.stationary)
 
 
 def enumeration_cross_check(tree: SampledTree, channel: Channel, node: int = 0,
@@ -174,11 +189,8 @@ def check_propagation(tree: SampledTree, channel: Channel, node: int = 0,
     if not kids:
         raise TreeError(f"node {node} has no children")
     law_v = brute_force_boundary_laws(tree, channel, node, budget, joint_budget)
-    acc = np.ones((channel.q, 1))
-    for w in kids:
-        law_w = brute_force_boundary_laws(tree, channel, w, budget, joint_budget)
-        t = channel.matrix @ law_w.cond
-        acc = (acc[:, :, None] * t[:, None, :]).reshape(channel.q, -1)
+    acc = _product_step(channel.matrix, [
+        brute_force_boundary_laws(tree, channel, w, budget, joint_budget).cond for w in kids])
     return float(np.max(np.abs(acc - law_v.cond)))
 
 
@@ -211,33 +223,23 @@ def check_main_recursion(tree: SampledTree, channel: Channel, node: int = 0,
     children of the expected entropy of the child posterior pushed through
     the reversed channel.  Also counts boundary configurations where the
     identity read pointwise (no expectation) fails."""
-    kids = list(tree.children(int(node)))
-    if not kids:
-        raise TreeError(f"node {node} has no children")
     alpha = channel.stationary
-    law_v = enumerate_boundary_laws(tree, channel, node, budget)
+    law_v, *child_laws = _laws_with_children(tree, channel, node, budget)
     v_rows = symmetrized_entropy_rows(law_v.posterior, alpha)
     lhs = math.fsum((law_v.free * v_rows).tolist())
 
-    child_rows = []
-    child_sizes = []
-    rhs_terms = []
-    for w in kids:
-        law_w = enumerate_boundary_laws(tree, channel, w, budget)
-        mapped = law_w.posterior @ channel.reversed
-        rows = symmetrized_entropy_rows(mapped, alpha)
-        child_rows.append(rows)
-        child_sizes.append(int(law_w.free.size))
-        rhs_terms.append(math.fsum((law_w.free * rows).tolist()))
-    rhs = math.fsum(rhs_terms)
+    child_rows = [symmetrized_entropy_rows(law.posterior @ channel.reversed, alpha)
+                  for law in child_laws]
+    rhs = math.fsum(math.fsum((law.free * rows).tolist())
+                    for law, rows in zip(child_laws, child_rows))
 
     n_configs = int(law_v.free.size)
     ar = np.arange(n_configs, dtype=np.int64)
     pointwise_sum = np.zeros(n_configs)
     block = 1
-    for rows, size in zip(reversed(child_rows), reversed(child_sizes)):
-        pointwise_sum += rows[(ar // block) % size]
-        block *= size
+    for rows in reversed(child_rows):
+        pointwise_sum += rows[(ar // block) % rows.size]
+        block *= rows.size
     gaps = np.abs(pointwise_sum - v_rows)
     return RecursionCheck(
         lhs=lhs,
@@ -256,18 +258,11 @@ def check_lyapunov_bound(tree: SampledTree, channel: Channel, node: int = 0,
                          threads: int | None = 1) -> float:
     """Margin of the contraction step: c * (sum of child expected entropies)
     minus the node's expected entropy.  Nonnegative up to roundoff."""
-    kids = list(tree.children(int(node)))
-    if not kids:
-        raise TreeError(f"node {node} has no children")
+    law_v, *child_laws = _laws_with_children(tree, channel, node, budget)
     if c_value is None:
         c_value = compute_c(channel, config, threads).value
-    lhs = _expected_root_entropy(
-        enumerate_boundary_laws(tree, channel, node, budget), channel)
-    child_sum = math.fsum(
-        _expected_root_entropy(enumerate_boundary_laws(tree, channel, w, budget),
-                               channel)
-        for w in kids)
-    return float(c_value) * child_sum - lhs
+    child_sum = math.fsum(_expected_root_entropy(law, channel) for law in child_laws)
+    return float(c_value) * child_sum - _expected_root_entropy(law_v, channel)
 
 
 def bayes_vs_recursion(tree: SampledTree, channel: Channel,

@@ -64,7 +64,7 @@ class TreeSpec:
             if np.any(p < 0):
                 raise TreeError("offspring pmf entries must be >= 0")
             if abs(p.sum() - 1.0) > PMF_SUM_ATOL:
-                raise TreeError(f"offspring pmf must sum to 1, got {p.sum()!r}")
+                raise TreeError(f"offspring pmf must sum to 1, got {float(p.sum())!r}")
             object.__setattr__(self, "pmf", tuple(float(x) for x in _normalize_exact(p)))
 
     @classmethod

@@ -9,9 +9,11 @@ computed exactly as a generalized symmetric eigenproblem.  That near-center
 value is always merged with the interior search, so the reported constant is
 max(near-center limit, best evaluated ratio).
 
-Search strategy: for q = 2 a dense 1-d grid (>= 1e5 points) with bounded
-local refinement of every surviving local maximum; for q >= 3 multistart
-Nelder-Mead in softmax coordinates (unconstrained in q-1 variables).
+Each constant has one objective F, a rows function mapping an (S, q) array
+of beliefs to S values, guard zone included, and one search, _maximize.
+For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
+100,001 are raised to 100,001) and refines the best local maxima on single
+rows; for q >= 3 it runs multistart Nelder-Mead in softmax coordinates.
 Start k draws its randomness from a stream seeded by (seed, k), and the
 merge is a pure max-reduce, so results are identical for any degree of
 parallelism.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, null_space
@@ -34,6 +36,7 @@ from .errors import BadDimension, CenterSingularity, NoConvergence
 
 CENTER_ATOL = 1e-12
 GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
+MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
 
 
 @dataclass(frozen=True)
@@ -102,61 +105,84 @@ def near_center_limit(channel: Channel) -> float:
     return _near_center(channel)[0]
 
 
-def _guarded_ratio(channel: Channel, nc_value: float):
+def _near_rows(P: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Mask of the rows of P within l1 distance GUARD_L1 of center."""
+    near = np.abs(P[:, 0] - center[0]) < GUARD_L1  # necessary; cheap on a large grid
+    if near.any():
+        near[near] = np.abs(P[near] - center).sum(axis=1) < GUARD_L1
+    return near
+
+
+def _ratio_rows(channel: Channel, nc_value: float):
+    """F(P) = L(P M_rev) / L(P) over the rows of P.
+
+    Within GUARD_L1 of alpha, where both entropies vanish, F is the quadratic
+    form of the second-order expansion (nc_value exactly at alpha); on the
+    boundary of the simplex, where L(p) = +inf, F is 0.
+    """
     a = channel.stationary
     rev = channel.reversed
     inv_a = 1.0 / a
 
-    def f(p: np.ndarray) -> float:
-        d = p - a
-        if np.abs(d).sum() < GUARD_L1:
-            den = float(np.sum(d * d * inv_a))
-            if den == 0.0:
-                return nc_value
-            w = d @ rev
-            return float(np.sum(w * w * inv_a)) / den
-        Lp = symmetrized_entropy(p, a)
-        if not math.isfinite(Lp) or Lp <= 0.0:
-            return 0.0
-        return symmetrized_entropy(p @ rev, a) / Lp
+    def F(P: np.ndarray) -> np.ndarray:
+        L = symmetrized_entropy_rows(P, a)
+        ok = np.isfinite(L) & (L > 0.0)
+        r = np.where(ok, symmetrized_entropy_rows(P @ rev, a) / np.where(ok, L, 1.0), 0.0)
+        near = _near_rows(P, a)
+        if near.any():
+            D = P[near] - a
+            W = D @ rev
+            den = (D * D * inv_a).sum(axis=1)
+            num = (W * W * inv_a).sum(axis=1)
+            r[near] = np.where(den == 0.0, nc_value, num / np.where(den == 0.0, 1.0, den))
+        return r
 
-    return f
-
-
-def _grid_max_1d(rows_fn, f1, n_points: int, refine_top: int = 8):
-    t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
-    r = rows_fn(t)
-    interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
-    if interior.size:
-        order = np.argsort(r[interior], kind="stable")
-        cand = set(int(i) for i in interior[order][-refine_top:])
-    else:
-        cand = set()
-    cand.add(int(np.argmax(r)))
-    best_v = float(np.max(r))
-    best_t = float(t[int(np.argmax(r))])
-    nfev = 0
-    for i in sorted(cand):
-        lo = float(t[max(i - 1, 0)])
-        hi = float(t[min(i + 1, n_points - 1)])
-        res = minimize_scalar(
-            lambda tt: -f1(tt), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
-        )
-        nfev += int(res.nfev)
-        v = -float(res.fun)
-        if v > best_v:
-            best_v, best_t = v, float(res.x)
-    return best_v, best_t, nfev
+    return F
 
 
-def _softmax_ext(x: np.ndarray, q: int) -> np.ndarray:
-    z = np.concatenate([x, [0.0]])
+def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     p = np.exp(z)
     return p / p.sum()
 
 
-def _multistart_max(f, q: int, center: np.ndarray, cfg: OptimizerConfig, threads: int):
+def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig, threads: int | None):
+    """Best found (value, point, iterations, method, starts, grid_points) of
+    the rows objective F over the q-simplex.  The q = 2 grid refines its
+    best 8 local maxima and its maximum, and counts refinement evaluations
+    as iterations; q >= 3 starts also perturb ``center``.
+    """
+    if q == 2:
+        n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
+        t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
+        r = F(np.stack([t, 1.0 - t], axis=1))
+        interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
+        order = np.argsort(r[interior], kind="stable")
+        top = int(np.argmax(r))
+        cand = set(int(i) for i in interior[order][-8:]) | {top}
+        best_v, best_t = float(r[top]), float(t[top])
+        nfev = 0
+        for i in sorted(cand):
+            lo = float(t[max(i - 1, 0)])
+            hi = float(t[min(i + 1, n_points - 1)])
+            res = minimize_scalar(
+                lambda tt: -F(np.array([[tt, 1.0 - tt]]))[0], bounds=(lo, hi),
+                method="bounded", options={"xatol": 1e-13}
+            )
+            nfev += int(res.nfev)
+            v = -float(res.fun)
+            if v > best_v:
+                best_v, best_t = v, float(res.x)
+        return best_v, np.array([best_t, 1.0 - best_t]), nfev, "grid-1d", 0, n_points
+
+    def nelder_mead(x0: np.ndarray, xatol: float):
+        return minimize(
+            lambda x: -F(_softmax(np.concatenate([x, [0.0]]))[None])[0],
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": cfg.max_iters, "fatol": cfg.tol, "xatol": xatol},
+        )
+
     def one_start(k: int):
         rng = np.random.default_rng([cfg.seed, k])
         if k < q:
@@ -165,21 +191,13 @@ def _multistart_max(f, q: int, center: np.ndarray, cfg: OptimizerConfig, threads
         elif (k - q) % 2 == 0:
             p0 = rng.dirichlet(np.ones(q))
         else:
-            z = np.log(center) + 0.5 * rng.standard_normal(q)
-            z = z - z.max()
-            p0 = np.exp(z)
-            p0 = p0 / p0.sum()
+            p0 = _softmax(np.log(center) + 0.5 * rng.standard_normal(q))
         p0 = np.maximum(p0, 1e-12)
-        x0 = np.log(p0 / p0[-1])[:-1]
-        res = minimize(
-            lambda x: -f(_softmax_ext(x, q)),
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "fatol": cfg.tol, "xatol": 1e-10},
-        )
+        res = nelder_mead(np.log(p0 / p0[-1])[:-1], 1e-10)
         return -float(res.fun), res.x, int(res.nit), bool(res.success)
 
     n = max(int(cfg.starts), 1)
+    threads = _resolve_threads(threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(one_start, range(n)))
@@ -195,16 +213,12 @@ def _multistart_max(f, q: int, center: np.ndarray, cfg: OptimizerConfig, threads
         if v > best_v:
             best_v, best_x = v, x
     # one polish pass from the winning point
-    res = minimize(
-        lambda x: -f(_softmax_ext(x, q)),
-        best_x,
-        method="Nelder-Mead",
-        options={"maxiter": cfg.max_iters, "fatol": cfg.tol, "xatol": 1e-12},
-    )
+    res = nelder_mead(best_x, 1e-12)
     iters += int(res.nit)
     if -float(res.fun) > best_v:
         best_v, best_x = -float(res.fun), res.x
-    return best_v, _softmax_ext(best_x, q), iters
+    best_p = _softmax(np.concatenate([best_x, [0.0]]))
+    return best_v, best_p, iters, "multistart-nelder-mead", int(cfg.starts), 0
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -217,40 +231,20 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None,
               threads: int | None = 1) -> VariationalResult:
     """Best found value of sup_p L(p M_rev) / L(p), with the near-center limit merged.
 
-    For q = 2 the supremum is located on a dense grid over the 1-simplex and
-    refined; for q >= 3, multistart Nelder-Mead in softmax coordinates.  The
-    result is deterministic given config.seed, for any thread count.
+    The supremum is searched by _maximize: a grid for q = 2, multistart
+    Nelder-Mead for q >= 3.  The result is deterministic given config.seed,
+    for any thread count.
     """
     cfg = config or OptimizerConfig()
-    threads = _resolve_threads(threads)
-    q = channel.q
     a = channel.stationary
     nc_value, nc_dir = _near_center(channel)
-    f = _guarded_ratio(channel, nc_value)
 
     # representative point for the near-center candidate, inside the guard zone
     eps = 1e-9 * float(a.min()) / float(np.max(np.abs(nc_dir)))
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    if q == 2:
-        rev = channel.reversed
-
-        def rows_fn(t: np.ndarray) -> np.ndarray:
-            P = np.stack([t, 1.0 - t], axis=1)
-            L = symmetrized_entropy_rows(P, a)
-            LM = symmetrized_entropy_rows(P @ rev, a)
-            ok = np.isfinite(L) & (L > 0.0)
-            r = np.where(ok, LM / np.where(ok, L, 1.0), 0.0)
-            return np.where(np.abs(t - a[0]) < 0.5 * GUARD_L1, nc_value, r)
-
-        n_points = max(int(cfg.grid_points), 100_001)
-        best_v, best_t, iters = _grid_max_1d(rows_fn, lambda tt: f(np.array([tt, 1.0 - tt])),
-                                             n_points)
-        best_p = np.array([best_t, 1.0 - best_t])
-        method, starts, grid_points = "grid-1d", 0, n_points
-    else:
-        best_v, best_p, iters = _multistart_max(f, q, a, cfg, threads)
-        method, starts, grid_points = "multistart-nelder-mead", int(cfg.starts), 0
+    best_v, best_p, iters, method, starts, grid_points = _maximize(
+        _ratio_rows(channel, nc_value), channel.q, a, cfg, threads)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
@@ -281,47 +275,28 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None,
     equals c of the Potts channel.  Its limit at the uniform vector is that
     same prefactor, independent of direction, and is merged into the result.
     """
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise BadDimension(f"potts objective needs integer q >= 2, got {q!r}")
     cfg = config or OptimizerConfig()
-    threads = _resolve_threads(threads)
-    e2b = _potts_e2b(beta)
+    e2b = _potts_e2b(q, beta)
     g = e2b - 1.0
     lam = g / (e2b + q - 1.0)
-    u = np.full(q, 1.0 / q)
     # The numerator pairs weights q*p-1 (which sum to 0 exactly only in real
     # arithmetic) with O(1) logarithms, so a 1-ulp defect in the weight sum
     # is amplified by 1/|p-u|^2 near the center.  Centering the weights and
     # shifting the logs by their center value makes both factors of every
     # term vanish there, which restores relative accuracy.
     log_center = math.log1p(g / q)
+    u = np.full(q, 1.0 / q)
 
-    def f(p: np.ndarray) -> float:
-        if np.abs(p - u).sum() < GUARD_L1:
-            return lam
-        r = q * p - 1.0
-        r = r - r.mean()
+    def F(P: np.ndarray) -> np.ndarray:
+        R = q * P - 1.0
+        R = R - R.mean(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = float(np.sum(r * np.log1p(r)))
-            num = float(np.sum(r * (np.log1p(g * p) - log_center)))
-        if not math.isfinite(den) or den <= 0.0 or not math.isfinite(num):
-            return 0.0
-        return num / den
-
-    if q == 2:
-
-        def rows_fn(t: np.ndarray) -> np.ndarray:
-            P = np.stack([t, 1.0 - t], axis=1)
-            R = 2.0 * P - 1.0
-            R = R - R.mean(axis=1, keepdims=True)
-            num = (R * (np.log1p(g * P) - log_center)).sum(axis=1)
             den = (R * np.log1p(R)).sum(axis=1)
-            ok = np.isfinite(den) & (den > 0.0) & np.isfinite(num)
-            r = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-            return np.where(np.abs(t - 0.5) < 0.5 * GUARD_L1, lam, r)
+            num = (R * (np.log1p(g * P) - log_center)).sum(axis=1)
+        ok = np.isfinite(den) & (den > 0.0) & np.isfinite(num)
+        r = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+        r[_near_rows(P, u)] = lam
+        return r
 
-        n_points = max(int(cfg.grid_points), 100_001)
-        best_v, _, _ = _grid_max_1d(rows_fn, lambda tt: f(np.array([tt, 1.0 - tt])), n_points)
-    else:
-        best_v, _, _ = _multistart_max(f, q, u, cfg, threads)
+    best_v = _maximize(F, q, u, cfg, threads)[0]
     return float(max(best_v, lam))

@@ -220,7 +220,7 @@ def test_as_belief():
         as_belief([0.2, 0.3, 0.5], q=2)
     with pytest.raises(BadDimension):
         as_belief([1.0])
-    with pytest.raises(ChannelError):
+    with pytest.raises(ChannelError, match=r"^belief sums to 1\.1, not 1 "):
         as_belief([0.5, 0.6])
     with pytest.raises(ChannelError):
         as_belief([-0.1, 1.1])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -76,6 +77,26 @@ def test_validation_failures_exit_2(run_cli):
         code, _, err = run_cli(argv)
         assert code == 2, argv
         assert "error:" in err
+    code, _, err = run_cli(["c-of-m", "--channel", '{"matrix": [[0.5, 0.6], [0.5, 0.5]]}'])
+    assert code == 2
+    assert err == "error: row 0 sums to 1.1, not 1 within 1e-09\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["c-of-m", "--family", "potts", "--q", "2", "--beta", "20"],
+    ["verify", "--family", "potts", "--q", "2", "--beta", "20",
+     "--tree", "regular:d=2", "--depth", "3", "--suite", "lemma1"],
+])
+def test_near_identity_channel_exits_3(run_cli, argv):
+    # At beta = 20 the off-diagonal entry is ~4e-18: the stationary solve
+    # cannot resolve alpha, which must end in exit 3, not a division by zero.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert caught == []
 
 
 def test_usage_failures_exit_64(run_cli):

@@ -15,6 +15,7 @@ from treerecon import (
     check_propagation,
     enumerate_boundary_laws,
     enumeration_cross_check,
+    make_channel,
     mc_root_entropy_fixed_tree,
     potts_channel,
     random_suite,
@@ -22,6 +23,7 @@ from treerecon import (
     sample_tree,
     tree_from_level_counts,
 )
+from treerecon.oracle import DEFAULT_BUDGET, _fold_law
 
 WITNESS_TREE = [[2], [2, 2]]
 
@@ -52,6 +54,19 @@ def test_enumeration_algorithms_agree(binary_0301, witness_tree, potts_tree):
     assert enumeration_cross_check(potts_tree, potts_channel(3, 0.8)) <= 1e-12
     # subtree law at an internal node
     assert enumeration_cross_check(witness_tree, binary_0301, node=1) <= 1e-12
+
+
+def test_fold_keeps_every_node_law(binary_0301, witness_tree, potts_tree):
+    # one bottom-up pass yields the law below every node, each equal to the
+    # independent joint enumeration of that node's subtree
+    rows = 0.8 * np.random.default_rng(3).dirichlet(np.ones(3), size=3) + 0.2 / 3
+    for tree, ch in ((witness_tree, binary_0301), (potts_tree, potts_channel(3, 0.8)),
+                     (witness_tree, make_channel(rows))):  # the last is not reversible
+        laws = _fold_law(tree, ch, 0, DEFAULT_BUDGET)
+        assert sorted(laws) == list(range(tree.n_nodes))
+        for u, cond in laws.items():
+            brute = brute_force_boundary_laws(tree, ch, u).cond
+            np.testing.assert_allclose(cond, brute, rtol=0, atol=1e-12)
 
 
 def test_brute_force_law_normalization(binary_0301, witness_tree):

@@ -49,6 +49,8 @@ def test_spec_gw_validation():
         TreeSpec.galton_watson((0.5, -0.5, 1.0), 2)
     with pytest.raises(TreeError):
         TreeSpec.galton_watson((), 2)
+    with pytest.raises(TreeError, match=r"must sum to 1, got 1\.1$"):
+        TreeSpec.galton_watson((0.5, 0.6), 2)
     with pytest.raises(TreeError):
         TreeSpec.galton_watson((math.nan, 1.0), 2)
     with pytest.raises(TreeError):

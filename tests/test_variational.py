@@ -16,6 +16,7 @@ from treerecon import (
     potts_channel,
     ratio,
 )
+from treerecon.variational import GUARD_L1, _ratio_rows
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +164,27 @@ def test_convexity_quick():
     for lam in (0.3, 0.7):
         mix = make_channel(lam * m1.matrix + (1 - lam) * m2.matrix)
         assert compute_c(mix).value <= lam * c1 + (1 - lam) * c2 + 1e-5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rows_objective_matches_scalar_ratio(q):
+    # The search evaluates the batched objective; ratio() is the scalar
+    # definition.  Batched products round differently, so compare within
+    # 1e-12 relative rather than bitwise.
+    rng = np.random.default_rng(40 + q)
+    ch = make_channel(0.8 * rng.dirichlet(np.ones(q), size=q) + 0.2 / q)
+    F = _ratio_rows(ch, near_center_limit(ch))
+    P = rng.dirichlet(np.ones(q), size=4000)
+    P = P[np.abs(P - ch.stationary).sum(axis=1) >= GUARD_L1]
+    scalar = np.array([ratio(p, ch) for p in P])
+    np.testing.assert_allclose(F(P), scalar, rtol=1e-12, atol=0)
+    single = np.array([F(p[None])[0] for p in P[:500]])
+    np.testing.assert_allclose(single, scalar[:500], rtol=1e-12, atol=0)
+    # guard zone: the quadratic form, which is the limit at alpha itself and
+    # a Rayleigh quotient below it nearby; vertices lie on the boundary
+    a = ch.stationary
+    v = rng.standard_normal(q)
+    near = F(np.array([a, a + 1e-10 * (v - v.mean())]))
+    assert near[0] == near_center_limit(ch)
+    assert 0.0 <= near[1] <= near[0] * (1 + 1e-9)
+    assert np.all(F(np.eye(q)) == 0.0)
