@@ -118,7 +118,9 @@ def _ratio_rows(channel: Channel, nc_value: float):
 
     Within GUARD_L1 of alpha, where both entropies vanish, F is the quadratic
     form of the second-order expansion (nc_value exactly at alpha); on the
-    boundary of the simplex, where L(p) = +inf, F is 0.
+    boundary of the simplex, where L(p) = +inf, F is 0.  The form bounds
+    the ratio only on {sum v = 0}, so each row of P - alpha is centred first:
+    within an ulp of alpha its rounded sum is not 0.
     """
     a = channel.stationary
     rev = channel.reversed
@@ -131,6 +133,7 @@ def _ratio_rows(channel: Channel, nc_value: float):
         near = _near_rows(P, a)
         if near.any():
             D = P[near] - a
+            D = D - D.mean(axis=1, keepdims=True)
             W = D @ rev
             den = (D * D * inv_a).sum(axis=1)
             num = (W * W * inv_a).sum(axis=1)

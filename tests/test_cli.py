@@ -99,6 +99,18 @@ def test_near_identity_channel_exits_3(run_cli, argv):
     assert caught == []
 
 
+def test_bounds_fine_grid_near_alpha(run_cli):
+    # The 100,001-point grid has a row within an ulp of alpha; fk must still
+    # be c = (delta2 - delta1)^2, as on the default grid.
+    code, out, _ = run_cli(["bounds", "--family", "binary", "--delta1", "0.41",
+                            "--delta2", "0.59", "--grid-points", "100001",
+                            "--branching", "20", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert abs(report["constants"]["fk"] - 0.18 ** 2) <= 1e-9
+    assert report["verdicts"]["fk"] == "non-reconstruction proven"
+
+
 def test_usage_failures_exit_64(run_cli):
     code, _, err = run_cli(["definitely-not-a-command"])
     assert code == 64

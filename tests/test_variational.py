@@ -8,6 +8,7 @@ from treerecon import (
     CenterSingularity,
     NonPositiveEntry,
     OptimizerConfig,
+    binary_channel,
     compute_c,
     make_channel,
     near_center_limit,
@@ -16,7 +17,7 @@ from treerecon import (
     potts_channel,
     ratio,
 )
-from treerecon.variational import GUARD_L1, _ratio_rows
+from treerecon.variational import GUARD_L1, MIN_GRID_POINTS, _ratio_rows
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +189,24 @@ def test_rows_objective_matches_scalar_ratio(q):
     assert near[0] == near_center_limit(ch)
     assert 0.0 <= near[1] <= near[0] * (1 + 1e-9)
     assert np.all(F(np.eye(q)) == 0.0)
+
+
+@pytest.mark.parametrize("delta1, delta2", [
+    (0.18, 0.82), (0.41, 0.59), (0.42, 0.58), (0.43, 0.57), (0.82, 0.18)])
+def test_guard_rows_stay_below_near_center_limit(delta1, delta2):
+    # On these channels a q=2 grid row lies within an ulp of alpha, where
+    # P - alpha does not sum to 0 in floating point; the quadratic form must
+    # still stay below its supremum over {sum v = 0}.
+    # The default grid has no row in the guard zone; rows a few ulps from
+    # alpha stand in for it.
+    ch = binary_channel(delta1, delta2)
+    limit = near_center_limit(ch)
+    F = _ratio_rows(ch, limit)
+    a0 = ch.stationary[0]
+    ulps = a0 + np.spacing(a0) * np.arange(-4, 5)
+    for t in (np.linspace(1e-9, 1.0 - 1e-9, MIN_GRID_POINTS),
+              np.linspace(1e-9, 1.0 - 1e-9, OptimizerConfig().grid_points), ulps):
+        P = np.stack([t, 1.0 - t], axis=1)
+        P = P[np.abs(P - ch.stationary).sum(axis=1) < GUARD_L1]
+        assert len(P) > 0 or len(t) > MIN_GRID_POINTS
+        assert np.all(F(P) <= limit * (1 + 1e-9))
