@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads, 0 = one per CPU")
+                    help="Monte Carlo worker threads, 0 = one per CPU")
     ap.add_argument("--out", default="-", metavar="PATH")
     args = ap.parse_args(argv)
 
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     for text in args.betas.split(","):
         beta = float(text)
         channel = potts_channel(args.q, beta)
-        c = compute_c(channel, threads=threads).value
+        c = compute_c(channel).value
         rate = args.degree * c
         estimates = depth_sweep(spec, channel, depths, args.samples,
                                 args.seed, threads=threads)

@@ -55,8 +55,7 @@ def martin_constant(delta1: float, delta2: float) -> float:
 
 def fk_criterion(channel: Channel, branching: float, *,
                  c_value: float | None = None,
-                 config: OptimizerConfig | None = None,
-                 threads: int | None = 1) -> FkResult:
+                 config: OptimizerConfig | None = None) -> FkResult:
     """Non-reconstruction criterion branching * c(M) < 1 (strict).
 
     Returns the verdict and the margin 1 - branching * c(M); a positive
@@ -64,7 +63,7 @@ def fk_criterion(channel: Channel, branching: float, *,
     """
     if branching < 1.0:
         raise ChannelError(f"branching number must be >= 1, got {branching!r}")
-    c = compute_c(channel, config, threads).value if c_value is None else float(c_value)
+    c = compute_c(channel, config).value if c_value is None else float(c_value)
     margin = 1.0 - branching * c
     verdict = Verdict.NON_RECONSTRUCTION if margin > 0.0 else Verdict.INCONCLUSIVE
     return FkResult(verdict, margin)
@@ -100,11 +99,10 @@ def _verdicts(fk: float, ks: float, martin: float | None, mp: float | None,
 
 
 def bound_report(channel: Channel, branching: float | None = None, *,
-                 config: OptimizerConfig | None = None,
-                 threads: int | None = 1) -> BoundReport:
+                 config: OptimizerConfig | None = None) -> BoundReport:
     """All applicable bound constants for one channel, with verdicts when a
     branching number is given.  martin and mp require q = 2."""
-    fk = compute_c(channel, config, threads).value
+    fk = compute_c(channel, config).value
     ks = ks_constant(channel)
     martin = mp = d1 = d2 = None
     if channel.q == 2:
@@ -130,10 +128,8 @@ DELTA2_GRID = (0.1, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 def table1(delta1: float = 0.3, delta2_list: Sequence[float] = DELTA2_GRID,
            branching: float | None = None,
-           config: OptimizerConfig | None = None,
-           threads: int | None = 1) -> list[BoundReport]:
+           config: OptimizerConfig | None = None) -> list[BoundReport]:
     """Bound constants for the family of two-state channels with fixed delta1."""
-    return [bound_report(binary_channel(delta1, d2), branching, config=config,
-                         threads=threads)
+    return [bound_report(binary_channel(delta1, d2), branching, config=config)
             for d2 in delta2_list]
 

@@ -268,8 +268,9 @@ def _add_common_args(p: argparse.ArgumentParser, func, view: View, *,
     formats = ("json", "csv", "table") if view.columns else ("json", "table")
     p.add_argument("--format", choices=formats, default=default_format)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 0 = one per CPU "
-                        "(default: TREE_RECON_THREADS or 1)")
+                   help="Monte Carlo worker threads of simulate; 0 = one per "
+                        "CPU (default: TREE_RECON_THREADS or 1); other "
+                        "commands validate it and run serially")
     if view.schema is not None:
         p.add_argument("--from-file", metavar="PATH",
                        help="re-render a report this command printed")
@@ -346,7 +347,7 @@ def _parse_sweep(text: str) -> list[int]:
 
 def _cmd_c_of_m(args) -> dict:
     channel = _resolve_channel(args)
-    result = compute_c(channel, _optimizer_config(args), threads=_threads(args))
+    result = compute_c(channel, _optimizer_config(args))
     trace = result.trace
     return {
         "command": "c-of-m",
@@ -363,8 +364,7 @@ def _cmd_c_of_m(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     channel = _resolve_channel(args)
-    report = bound_report(channel, args.branching,
-                          config=_optimizer_config(args), threads=_threads(args))
+    report = bound_report(channel, args.branching, config=_optimizer_config(args))
     return {"command": "bounds", "seed": int(args.seed),
             "reports": [_bound_record(report)]}
 
@@ -374,7 +374,7 @@ def _cmd_table1(args) -> dict:
     if args.delta2_list:
         delta2_list = tuple(float(x) for x in args.delta2_list.split(","))
     reports = table1(args.delta1, delta2_list, args.branching,
-                     config=_optimizer_config(args), threads=_threads(args))
+                     config=_optimizer_config(args))
     return {"command": "table1", "delta1": float(args.delta1),
             "seed": int(args.seed),
             "reports": [_bound_record(r) for r in reports]}
@@ -408,8 +408,7 @@ def _cmd_verify(args) -> dict:
         checks["propagation_diff"] = check_propagation(tree, channel, 0)
     if want in ("lyapunov", "all"):
         checks["lyapunov_margin"] = check_lyapunov_bound(
-            tree, channel, 0, config=_optimizer_config(args),
-            threads=_threads(args))
+            tree, channel, 0, config=_optimizer_config(args))
     if want == "all":
         checks["bayes_diff"] = bayes_vs_recursion(tree, channel)
     ok = (all(checks[key] <= tol for key, tol in INSTANCE_TOLS.items()
@@ -439,7 +438,7 @@ def _cmd_simulate(args) -> dict:
         raise ChannelError("simulate needs --depth or --depth-sweep")
     spec = _parse_tree(args.tree, depths[0])
     estimates = depth_sweep(spec, channel, depths, args.samples, args.seed,
-                            mode=args.mode, threads=_threads(args),
+                            mode=args.mode, threads=args.threads,
                             max_nodes=args.max_nodes)
     return {
         "command": "simulate",
@@ -526,6 +525,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        args.threads = _threads(args)
         path = getattr(args, "from_file", None)
         report = _load(path, args.command, args.view) if path else args.func(args)
         print(render(report, args.view, args.format))

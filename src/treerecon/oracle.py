@@ -254,13 +254,12 @@ def check_main_recursion(tree: SampledTree, channel: Channel, node: int = 0,
 def check_lyapunov_bound(tree: SampledTree, channel: Channel, node: int = 0,
                          c_value: float | None = None,
                          config: OptimizerConfig | None = None,
-                         budget: int = DEFAULT_BUDGET,
-                         threads: int | None = 1) -> float:
+                         budget: int = DEFAULT_BUDGET) -> float:
     """Margin of the contraction step: c * (sum of child expected entropies)
     minus the node's expected entropy.  Nonnegative up to roundoff."""
     law_v, *child_laws = _laws_with_children(tree, channel, node, budget)
     if c_value is None:
-        c_value = compute_c(channel, config, threads).value
+        c_value = compute_c(channel, config).value
     child_sum = math.fsum(_expected_root_entropy(law, channel) for law in child_laws)
     return float(c_value) * child_sum - _expected_root_entropy(law_v, channel)
 

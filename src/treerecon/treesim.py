@@ -14,6 +14,7 @@ across thread counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -23,7 +24,6 @@ import numpy as np
 from .channels import Channel, _normalize_exact, _readonly, as_belief
 from .entropy import symmetrized_entropy_rows
 from .errors import NumericalUnderflow, TreeError, TreeTooLarge
-from .variational import _resolve_threads
 
 DEFAULT_MAX_NODES = 1_000_000
 PMF_SUM_ATOL = 1e-12
@@ -348,7 +348,7 @@ def _run_chunks(work, samples: int, threads: int | None) -> tuple[float, float]:
         raise ValueError(f"samples must be >= 1, got {samples}")
     values = np.empty(samples)
     chunks = [(c, min(c + _CHUNK, samples)) for c in range(0, samples, _CHUNK)]
-    n_workers = _resolve_threads(threads)
+    n_workers = int(threads) if threads and threads > 0 else os.cpu_count() or 1
     if n_workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(lambda ab: work(values, *ab), chunks))

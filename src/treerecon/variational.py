@@ -14,16 +14,14 @@ of beliefs to S values, guard zone included, and one search, _maximize.
 For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
 100,001 are raised to 100,001) and refines the best local maxima on single
 rows; for q >= 3 it runs multistart Nelder-Mead in softmax coordinates.
-Start k draws its randomness from a stream seeded by (seed, k), and the
-merge is a pure max-reduce, so results are identical for any degree of
-parallelism.
+The starts run one after another; start k draws its randomness from a
+stream seeded by (seed, k), and the first of equal maxima wins, so results
+depend only on the configuration.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +147,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig, threads: int | None):
+def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     """Best found (value, point, iterations, method, starts, grid_points) of
     the rows objective F over the q-simplex.  The q = 2 grid refines its
     best 8 local maxima and its maximum, and counts refinement evaluations
@@ -199,13 +197,7 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig, threads: int 
         res = nelder_mead(np.log(p0 / p0[-1])[:-1], 1e-10)
         return -float(res.fun), res.x, int(res.nit), bool(res.success)
 
-    n = max(int(cfg.starts), 1)
-    threads = _resolve_threads(threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_start, range(n)))
-    else:
-        results = [one_start(k) for k in range(n)]
+    results = [one_start(k) for k in range(max(int(cfg.starts), 1))]
 
     if not any(ok for _, _, _, ok in results):
         raise NoConvergence("no optimizer start converged within the iteration budget")
@@ -224,19 +216,11 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig, threads: int 
     return best_v, best_p, iters, "multistart-nelder-mead", int(cfg.starts), 0
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None or threads <= 0:
-        return os.cpu_count() or 1
-    return int(threads)
-
-
-def compute_c(channel: Channel, config: OptimizerConfig | None = None,
-              threads: int | None = 1) -> VariationalResult:
+def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> VariationalResult:
     """Best found value of sup_p L(p M_rev) / L(p), with the near-center limit merged.
 
     The supremum is searched by _maximize: a grid for q = 2, multistart
-    Nelder-Mead for q >= 3.  The result is deterministic given config.seed,
-    for any thread count.
+    Nelder-Mead for q >= 3.  The result is deterministic given config.
     """
     cfg = config or OptimizerConfig()
     a = channel.stationary
@@ -247,7 +231,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None,
     p_nc = _normalize_exact(a + eps * nc_dir)
 
     best_v, best_p, iters, method, starts, grid_points = _maximize(
-        _ratio_rows(channel, nc_value), channel.q, a, cfg, threads)
+        _ratio_rows(channel, nc_value), channel.q, a, cfg)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
@@ -266,8 +250,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None,
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
-def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None,
-               threads: int | None = 1) -> float:
+def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> float:
     """sup_p of the reduced Potts objective
 
         sum_i (q p_i - 1) log(1 + (e^{2 beta} - 1) p_i)
@@ -301,5 +284,5 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None,
         r[_near_rows(P, u)] = lam
         return r
 
-    best_v = _maximize(F, q, u, cfg, threads)[0]
+    best_v = _maximize(F, q, u, cfg)[0]
     return float(max(best_v, lam))

@@ -114,8 +114,8 @@ def test_criterion_7_invariance_and_convexity(sym_channel_factory):
         (potts_channel(3, 0.9), (1, 2, 0)),
     ]
     for ch, perm in channels:
-        base = compute_c(ch, threads=4).value
-        shuffled = compute_c(permute_channel(ch, perm), threads=4).value
+        base = compute_c(ch).value
+        shuffled = compute_c(permute_channel(ch, perm)).value
         assert abs(base - shuffled) <= 1e-6, ch.label
 
     pairs = [
@@ -124,11 +124,11 @@ def test_criterion_7_invariance_and_convexity(sym_channel_factory):
          make_channel([[0.6, 0.4], [0.4, 0.6]])),
     ]
     for first, second in pairs:
-        c_first = compute_c(first, threads=4).value
-        c_second = compute_c(second, threads=4).value
+        c_first = compute_c(first).value
+        c_second = compute_c(second).value
         for lam in (0.3, 0.5, 0.7):
             mix = make_channel(lam * first.matrix + (1 - lam) * second.matrix)
-            c_mix = compute_c(mix, threads=4).value
+            c_mix = compute_c(mix).value
             assert c_mix <= lam * c_first + (1 - lam) * c_second + 1e-5
 
 

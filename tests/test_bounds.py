@@ -109,8 +109,7 @@ def test_bound_report_binary(binary_0301, quick_config):
 
 
 def test_bound_report_multistate(quick_config):
-    rep = bound_report(potts_channel(3, 0.5), 2.0,
-                       config=quick_config, threads=1)
+    rep = bound_report(potts_channel(3, 0.5), 2.0, config=quick_config)
     assert rep.martin is None and rep.mp is None
     assert rep.delta1 is None and rep.delta2 is None
     assert set(rep.verdicts) == {"fk", "ks"}

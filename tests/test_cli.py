@@ -71,6 +71,14 @@ def test_validation_failures_exit_2(run_cli):
         ["c-of-m"],
         ["c-of-m", "--family", "potts", "--q", "2", "--beta", "0.5",
          "--threads", "-1"],
+        # every command validates --threads, though only simulate uses it
+        ["bounds", "--family", "potts", "--q", "2", "--beta", "0.5",
+         "--threads", "-1"],
+        ["table1", "--threads", "-1"],
+        ["verify", "--count", "1", "--threads", "-1"],
+        ["simulate", "--family", "potts", "--q", "2", "--beta", "0.5",
+         "--tree", "regular:d=2", "--depth", "2", "--samples", "10",
+         "--threads", "-1"],
         ["bounds", "--family", "potts", "--q", "2", "--beta", "400"],
     ]
     for argv in cases:
