@@ -117,46 +117,46 @@ def _stationary_residual(alpha: np.ndarray, m: np.ndarray) -> float:
     return float(np.max(np.abs(alpha @ m - alpha)))
 
 
-def _positive(alpha: np.ndarray) -> np.ndarray:
-    # Near the identity the residual check holds for any alpha, so a solve
-    # can return a zero entry, which the reversed kernel would divide by.
-    if np.any(alpha <= 0.0):
-        raise NoConvergence("stationary distribution has a zero entry: the "
-                            "channel is too close to the identity to resolve it")
-    return alpha
+def _positive(a: np.ndarray, name: str) -> np.ndarray:
+    # An entry below the smallest normal double has too few bits to resolve:
+    # products with it underflow to 0, and the objective's ratios overflow.
+    if np.any(a < np.finfo(float).tiny):
+        raise NoConvergence(f"{name} has an entry below the smallest normal "
+                            "double: the channel is too extreme to resolve")
+    return a
 
 
-def _stationary_of(m: np.ndarray, max_iter: int = 20000) -> np.ndarray:
+def _stationary_of(m: np.ndarray) -> np.ndarray:
+    # Grassmann-Taksar-Heyman elimination (Oper. Res. 33, 1985): censor the
+    # chain to states 0..k-1 for k = q-1, ..., 1, then rebuild alpha upward,
+    # renormalizing at each step so that nothing overflows.  It reads only
+    # off-diagonal entries and never subtracts, so every entry of alpha keeps
+    # its relative accuracy however close M is to the identity.
     q = m.shape[0]
-    # direct solve of alpha (M - I) = 0 with the normalization row appended
-    A = m.T - np.eye(q)
-    A[-1, :] = 1.0
-    b = np.zeros(q)
-    b[-1] = 1.0
-    try:
-        a = np.linalg.solve(A, b)
-        a = np.abs(a)
-        a = _normalize_exact(a)
-        if _stationary_residual(a, m) <= STATIONARY_RESIDUAL:
-            return _positive(a)
-    except np.linalg.LinAlgError:
-        a = np.full(q, 1.0 / q)
-    # power-iteration fallback
-    for _ in range(max_iter):
-        a = _normalize_exact(a @ m)
-        if _stationary_residual(a, m) <= STATIONARY_RESIDUAL:
-            return _positive(a)
-    raise NoConvergence(
-        f"stationary distribution residual {_stationary_residual(a, m):.3e} "
-        f"did not reach {STATIONARY_RESIDUAL}"
-    )
+    A = m.copy()
+    down = np.empty(q)  # down[k]: probability of leaving k for a lower state
+    for k in range(q - 1, 0, -1):
+        down[k] = A[k, :k].sum()
+        A[k, :k] /= down[k]
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    a = np.ones(1)
+    for k in range(1, q):
+        up = a @ A[:k, k]  # flow into k from below, a summing to 1
+        a = np.append(a * (down[k] / (down[k] + up)), up / (down[k] + up))
+    a = _normalize_exact(a)
+    if _stationary_residual(a, m) > STATIONARY_RESIDUAL:
+        raise NoConvergence(f"stationary distribution residual "
+                            f"{_stationary_residual(a, m):.3e} exceeds {STATIONARY_RESIDUAL}")
+    return _positive(a, "stationary distribution")
 
 
 def stationary_distribution(matrix) -> np.ndarray:
     """Stationary distribution of a positive row-stochastic matrix.
 
-    Solved directly via the linear system with a power-iteration fallback;
-    the returned vector satisfies max|alpha M - alpha| <= 1e-12.
+    Solved by Grassmann-Taksar-Heyman elimination, which reads only the
+    off-diagonal entries and never subtracts, so each entry is accurate to a
+    few ulps relative; the returned vector satisfies max|alpha M - alpha| <=
+    1e-12, or NoConvergence is raised.
     """
     m = _validate_matrix(matrix)
     return _stationary_of(m)
@@ -171,7 +171,7 @@ def make_channel(matrix, label: str | None = None) -> Channel:
     """
     m = _validate_matrix(matrix)
     alpha = _stationary_of(m)
-    rev = (alpha[None, :] * m.T) / alpha[:, None]
+    rev = _positive((alpha[None, :] * m.T) / alpha[:, None], "reversed kernel")
     return Channel(
         q=m.shape[0],
         matrix=_readonly(m),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from treerecon import (
     second_eigenvalue,
     stationary_distribution,
 )
+from treerecon.channels import _validate_matrix
 
 RELAXED = settings(max_examples=40, deadline=None)
 
@@ -29,6 +31,62 @@ def random_channel(seed, q):
     rng = np.random.default_rng([seed, q])
     rows = rng.dirichlet(np.ones(q), size=q)
     return make_channel(0.8 * rows + 0.2 / q)
+
+
+def _reference_stationary(m: np.ndarray) -> list:
+    # alpha (M - I) = 0 with sum(alpha) = 1, solved at 700 digits for the
+    # matrix whose diagonal is exactly 1 minus its off-diagonal row sum, since
+    # the elimination never reads the diagonal.
+    q = m.shape[0]
+    with mpmath.workdps(700):
+        off = [[mpmath.mpf(float(m[i, j])) if i != j else mpmath.mpf(0)
+                for j in range(q)] for i in range(q)]
+        A = mpmath.matrix(q, q)
+        for i in range(q):
+            for j in range(q):
+                A[j, i] = off[i][j] if i != j else -mpmath.fsum(off[i])
+        for j in range(q):
+            A[q - 1, j] = 1
+        b = mpmath.matrix(q, 1)
+        b[q - 1] = 1
+        x = mpmath.lu_solve(A, b)
+        return [x[i] for i in range(q)]
+
+
+def _stationary_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(f"random-q{q}-{k}", rng.dirichlet(np.full(q, 0.5), size=q))
+             for q in range(2, 7) for k in range(20)]
+    for q in (2, 3):
+        for beta in (15, 17, 18, 20, 100):
+            e2b = math.exp(2 * beta)
+            potts = np.full((q, q), 1 / (e2b + q - 1))
+            np.fill_diagonal(potts, e2b / (e2b + q - 1))
+            cases.append((f"potts-q{q}-beta{beta}", potts))
+    cases += [
+        ("near-identity-1e-170", [[1 - 2e-170, 1e-170, 1e-170],
+                                  [1e-170, 1 - 1e-170, 1e-300],
+                                  [0.5, 0.25, 0.25]]),
+        ("near-absorbing-1e-300", [[0.001, 0.999, 1e-300],
+                                   [1e-300, 1e-300, 1.0],
+                                   [1e-300, 0.5, 0.5]]),
+    ]
+    return cases
+
+
+def test_stationary_matches_700_digit_reference():
+    # Every entry of alpha keeps its relative accuracy, however small it is
+    # or however close the channel is to the identity.
+    worst = 0.0
+    for name, matrix in _stationary_cases():
+        alpha = stationary_distribution(matrix)
+        ref = _reference_stationary(_validate_matrix(matrix))
+        with mpmath.workdps(50):
+            err = max(float(abs(mpmath.mpf(float(a)) - r) / r)
+                      for a, r in zip(alpha, ref))
+        assert err <= 1e-14, (name, err)
+        worst = max(worst, err)
+    assert worst > 0.0  # the comparison is not vacuous
 
 
 def test_symmetric_mixing_matrix():

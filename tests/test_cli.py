@@ -90,21 +90,50 @@ def test_validation_failures_exit_2(run_cli):
     assert err == "error: row 0 sums to 1.1, not 1 within 1e-09\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["c-of-m", "--family", "potts", "--q", "2", "--beta", "20"],
-    ["verify", "--family", "potts", "--q", "2", "--beta", "20",
-     "--tree", "regular:d=2", "--depth", "3", "--suite", "lemma1"],
-])
-def test_near_identity_channel_exits_3(run_cli, argv):
-    # At beta = 20 the off-diagonal entry is ~4e-18: the stationary solve
-    # cannot resolve alpha, which must end in exit 3, not a division by zero.
+NEAR_IDENTITY = ["--family", "potts", "--q", "2", "--beta", "20"]
+
+
+def _quiet_run(run_cli, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(argv)
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        result = run_cli(argv)
     assert caught == []
+    return result
+
+
+def test_near_identity_channel_resolves(run_cli):
+    # At beta = 20 the off-diagonal entry is ~4e-18; the stationary solve
+    # still resolves alpha = (1/2, 1/2), so c is the Ising closed form.
+    code, out, err = _quiet_run(run_cli, ["c-of-m", *NEAR_IDENTITY,
+                                          "--format", "json"])
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["value"] - math.tanh(20.0) ** 2) <= 1e-6
+    code, out, err = _quiet_run(run_cli, ["verify", *NEAR_IDENTITY,
+                                          "--tree", "regular:d=2", "--depth", "3",
+                                          "--suite", "lemma1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["ok"] is True
+
+
+EXTREME_CHANNELS = {
+    "potts3-beta20": ["--family", "potts", "--q", "3", "--beta", "20"],
+    "subnormal-entries": ["--channel", '{"matrix": [[0.5, 0.5, 5e-324], '
+                          '[1e-200, 0.5, 0.5], [0.5, 0.5, 5e-324]]}'],
+    "subnormal-alpha": ["--channel", '{"matrix": [[0.001, 0.999], [5e-324, 1.0]]}'],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CHANNELS))
+def test_extreme_channel_ends_cleanly(run_cli, case):
+    # At the edge of double precision a channel ends in a result with
+    # 0 <= c <= 1 or in exit 3 with one error line, and never warns.
+    code, out, err = _quiet_run(run_cli, ["c-of-m", *EXTREME_CHANNELS[case],
+                                          "--starts", "4", "--format", "json"])
+    if code == 0:
+        assert 0.0 <= json.loads(out)["value"] <= 1.0 and err == ""
+    else:
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_bounds_fine_grid_near_alpha(run_cli):
