@@ -139,10 +139,12 @@ def _stationary_of(m: np.ndarray) -> np.ndarray:
         down[k] = A[k, :k].sum()
         A[k, :k] /= down[k]
         A[:k, :k] += np.outer(A[:k, k], A[k, :k])
-    a = np.ones(1)
+    a = np.zeros(q)
+    a[0] = 1.0
     for k in range(1, q):
-        up = a @ A[:k, k]  # flow into k from below, a summing to 1
-        a = np.append(a * (down[k] / (down[k] + up)), up / (down[k] + up))
+        up = a[:k] @ A[:k, k]  # flow into k from below, a[:k] summing to 1
+        a[:k] *= down[k] / (down[k] + up)
+        a[k] = up / (down[k] + up)
     a = _normalize_exact(a)
     if _stationary_residual(a, m) > STATIONARY_RESIDUAL:
         raise NoConvergence(f"stationary distribution residual "
