@@ -92,7 +92,10 @@ def _near_center(channel: Channel) -> tuple[float, np.ndarray]:
     A2 = 0.5 * (A2 + A2.T)
     D2 = B.T @ D @ B
     D2 = 0.5 * (D2 + D2.T)
-    w, V = eigh(A2, D2)
+    try:
+        w, V = eigh(A2, D2)
+    except np.linalg.LinAlgError as exc:  # D2 too ill-conditioned to factor
+        raise NoConvergence(f"near-center eigensolve failed: {exc}") from None
     v = B @ V[:, -1]
     v = v / np.max(np.abs(v))
     return float(w[-1]), v

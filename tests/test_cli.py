@@ -120,6 +120,8 @@ EXTREME_CHANNELS = {
     "subnormal-entries": ["--channel", '{"matrix": [[0.5, 0.5, 5e-324], '
                           '[1e-200, 0.5, 0.5], [0.5, 0.5, 5e-324]]}'],
     "subnormal-alpha": ["--channel", '{"matrix": [[0.001, 0.999], [5e-324, 1.0]]}'],
+    "ill-conditioned-center": ["--channel", '{"matrix": [[1.0, 1e-170, 1e-28], '
+                               '[1.0, 1e-23, 1e-80], [1.0, 1e-114, 1e-261]]}'],
 }
 
 
