@@ -113,10 +113,6 @@ def _validate_matrix(matrix) -> np.ndarray:
     return out
 
 
-def _stationary_residual(alpha: np.ndarray, m: np.ndarray) -> float:
-    return float(np.max(np.abs(alpha @ m - alpha)))
-
-
 def _positive(a: np.ndarray, name: str) -> np.ndarray:
     # An entry below the smallest normal double has too few bits to resolve:
     # products with it underflow to 0, and the objective's ratios overflow.
@@ -146,9 +142,10 @@ def _stationary_of(m: np.ndarray) -> np.ndarray:
         a[:k] *= down[k] / (down[k] + up)
         a[k] = up / (down[k] + up)
     a = _normalize_exact(a)
-    if _stationary_residual(a, m) > STATIONARY_RESIDUAL:
-        raise NoConvergence(f"stationary distribution residual "
-                            f"{_stationary_residual(a, m):.3e} exceeds {STATIONARY_RESIDUAL}")
+    residual = float(np.max(np.abs(a @ m - a)))
+    if residual > STATIONARY_RESIDUAL:
+        raise NoConvergence(f"stationary distribution residual {residual:.3e} "
+                            f"exceeds {STATIONARY_RESIDUAL}")
     return _positive(a, "stationary distribution")
 
 
