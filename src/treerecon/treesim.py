@@ -5,10 +5,18 @@ contiguous, and the children of node v are the contiguous index range
 ``child_ptr[v]:child_ptr[v+1]``.  Every node strictly above the boundary
 depth has at least one child, so the leaves are exactly the last level.
 
-Monte Carlo estimates draw each sample from its own random stream seeded by
-``(seed, sample_index)``.  Sample i therefore sees identical random numbers
-whether the run is serial or threaded, which makes estimates bit-reproducible
-across thread counts.
+Several trees can share one layout as a forest: level 0 then holds S roots,
+and the trees' nodes interleave level by level.  Broadcasting and the upward
+recursion treat every root alike, so S trees cost one pass.
+
+Monte Carlo estimates split the samples into chunks of ``_chunk_size``
+samples, a size fixed by the tree's (expected) node count alone, and chunk c
+draws all its randomness from one stream seeded by ``(seed, c)``.  A fixed
+tree draws an (S, n) block of uniforms for its S broadcasts; an annealed run
+draws the chunk's S Galton-Watson trees as one forest, level by level, then
+the forest's uniforms.  Sample i's random numbers thus depend on the chunk
+rule but not on the thread count, which only decides how many chunks run at
+once, so estimates are bit-reproducible across thread counts.
 """
 
 from __future__ import annotations
@@ -27,7 +35,10 @@ from .errors import NumericalUnderflow, TreeError, TreeTooLarge
 
 DEFAULT_MAX_NODES = 1_000_000
 PMF_SUM_ATOL = 1e-12
+# A Monte Carlo chunk holds at most _CHUNK samples and about _CHUNK_NODES
+# nodes, which bounds the memory of its (samples, nodes, q) arrays.
 _CHUNK = 4096
+_CHUNK_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -141,8 +152,11 @@ def tree_from_level_counts(counts_by_level: Sequence[Sequence[int]]) -> SampledT
     return _assemble([np.asarray(c, dtype=np.int64) for c in counts_by_level], depth)
 
 
-def _assemble(counts_by_level: list[np.ndarray], depth: int) -> SampledTree:
-    sizes = [1]
+def _assemble(counts_by_level: list[np.ndarray], depth: int,
+              roots: int = 1) -> SampledTree:
+    """Lay out a forest of ``roots`` trees breadth first from per-node
+    offspring counts, level by level; level 0 holds the roots."""
+    sizes = [roots]
     for k, c in enumerate(counts_by_level):
         if c.ndim != 1 or c.size != sizes[k]:
             raise TreeError(f"level {k} lists {c.size} counts for {sizes[k]} nodes")
@@ -153,7 +167,7 @@ def _assemble(counts_by_level: list[np.ndarray], depth: int) -> SampledTree:
     n = int(level_ptr[-1])
     node_depth = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)
     all_counts = np.concatenate(counts_by_level + [np.zeros(sizes[-1], dtype=np.int64)])
-    child_ptr = np.concatenate(([0], np.cumsum(all_counts, dtype=np.int64))) + 1
+    child_ptr = np.concatenate(([0], np.cumsum(all_counts, dtype=np.int64))) + roots
     parent = np.full(n, -1, dtype=np.int64)
     for k in range(1, depth + 1):
         lo, hi = int(level_ptr[k - 1]), int(level_ptr[k])
@@ -180,20 +194,24 @@ def _regular_tree(degree: int, depth: int, max_nodes: int) -> SampledTree:
     return _assemble(counts, depth)
 
 
-def _sample_gw(spec: TreeSpec, rng: np.random.Generator, max_nodes: int) -> SampledTree:
+def _sample_gw(spec: TreeSpec, rng: np.random.Generator, max_nodes: int,
+               roots: int = 1) -> SampledTree:
+    """Draw ``roots`` i.i.d. Galton-Watson trees as one forest, level by
+    level; each tree on its own must stay within max_nodes."""
     cum = np.cumsum(np.asarray(spec.pmf))
     cum[-1] = 1.0
     counts_by_level = []
-    width, total = 1, 1
+    owner = np.arange(roots)  # the tree of each node at the current level
+    sizes = np.ones(roots, dtype=np.int64)
     for _ in range(spec.depth):
-        u = rng.random(width)
+        u = rng.random(owner.size)
         counts = np.searchsorted(cum, u, side="right").astype(np.int64) + 1
-        width = int(counts.sum())
-        total += width
-        if total > max_nodes:
+        owner = np.repeat(owner, counts)
+        sizes += np.bincount(owner, minlength=roots)
+        if int(sizes.max()) > max_nodes:
             raise TreeTooLarge(f"sampled tree exceeds {max_nodes} nodes")
         counts_by_level.append(counts)
-    return _assemble(counts_by_level, spec.depth)
+    return _assemble(counts_by_level, spec.depth, roots)
 
 
 def sample_tree(spec: TreeSpec, seed=None, *, rng: np.random.Generator | None = None,
@@ -208,23 +226,31 @@ def sample_tree(spec: TreeSpec, seed=None, *, rng: np.random.Generator | None = 
 
 def _broadcast_from_uniforms(tree: SampledTree, channel: Channel,
                              u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF broadcast for a batch of uniform draws of shape (S, n)."""
+    """Inverse-CDF broadcast for a batch of uniform draws of shape (S, n):
+    every root from the stationary law, every other node from its parent's
+    row."""
     n_samples, n = u.shape
     if n != tree.n_nodes:
         raise TreeError(f"need {tree.n_nodes} uniforms per sample, got {n}")
     q = channel.q
+    lv = tree.level_ptr
     spins = np.empty((n_samples, n), dtype=np.int64)
     cum_alpha = np.cumsum(channel.stationary)
     cum_alpha[-1] = 1.0
-    spins[:, 0] = np.minimum(np.searchsorted(cum_alpha, u[:, 0], side="right"), q - 1)
-    cum_rows = np.cumsum(channel.matrix, axis=1)
-    cum_rows[:, -1] = 1.0
-    lv = tree.level_ptr
+    roots = slice(0, int(lv[1]))
+    spins[:, roots] = np.minimum(
+        np.searchsorted(cum_alpha, u[:, roots], side="right"), q - 1)
+    # A child's spin is the number of its parent row's partial sums that do
+    # not exceed its uniform; the last partial sum is 1 and never counts.
+    cum_cols = np.cumsum(channel.matrix, axis=1).T[:-1].copy()
     for k in range(1, tree.depth + 1):
         lo, hi = int(lv[k]), int(lv[k + 1])
         parent_spins = spins[:, tree.parent[lo:hi]]
-        idx = (cum_rows[parent_spins] <= u[:, lo:hi, None]).sum(axis=-1)
-        spins[:, lo:hi] = np.minimum(idx, q - 1)
+        level_u = u[:, lo:hi]
+        idx = spins[:, lo:hi]
+        idx[...] = cum_cols[0][parent_spins] <= level_u
+        for col in cum_cols[1:]:
+            idx += col[parent_spins] <= level_u
     return spins
 
 
@@ -265,8 +291,9 @@ def _upward(tree: SampledTree, channel: Channel, leaf_block: np.ndarray,
     """Run the belief recursion bottom-up on a batch of boundary conditions.
 
     leaf_block has shape (S, n_leaves, q), one belief row per leaf in node
-    order.  Returns the root beliefs (S, q), or the full (S, n_nodes, q)
-    belief array when keep_all is set.
+    order.  Returns the beliefs of every root, shape (S * roots, q) with the
+    roots of one batch entry adjacent (so (S, q) for a single tree), or the
+    full (S, n_nodes, q) belief array when keep_all is set.
 
     Messages are kept in linear space but rescaled by their maximum before
     the per-node product, which bounds every factor by 1 and keeps the
@@ -282,7 +309,9 @@ def _upward(tree: SampledTree, channel: Channel, leaf_block: np.ndarray,
         full[:, lv[depth]:lv[depth + 1]] = leaf_block
     for k in range(depth - 1, -1, -1):
         msgs = beliefs @ ratio_t
-        peak = msgs.max(axis=-1)
+        peak = msgs[..., 0].copy()  # column by column: max(axis=-1) is slow at small q
+        for j in range(1, channel.q):
+            np.maximum(peak, msgs[..., j], out=peak)
         if not np.all(np.isfinite(peak)) or np.any(peak <= 0.0):
             raise NumericalUnderflow("child message underflowed to zero")
         msgs /= peak[..., None]
@@ -295,7 +324,7 @@ def _upward(tree: SampledTree, channel: Channel, leaf_block: np.ndarray,
         beliefs = prods / total[..., None]
         if keep_all:
             full[:, lv[k]:lv[k + 1]] = beliefs
-    return full if keep_all else beliefs[:, 0, :]
+    return full if keep_all else beliefs.reshape(-1, channel.q)
 
 
 def belief_recursion(tree: SampledTree, channel: Channel,
@@ -341,20 +370,32 @@ class RootEntropyEstimate:
     seed: int
 
 
-def _run_chunks(work, samples: int, threads: int | None) -> tuple[float, float]:
-    """Mean and standard error of the values that work(values, lo, hi) writes
-    to values[lo:hi], chunk by chunk."""
+def _chunk_size(nodes_per_sample: float) -> int:
+    return min(_CHUNK, max(1, int(_CHUNK_NODES // nodes_per_sample)))
+
+
+def _run_chunks(values_of, samples: int, seed: int, nodes_per_sample: float,
+                threads: int | None) -> tuple[float, float]:
+    """Mean and standard error of the values that values_of(rng, count)
+    returns for count samples, chunk by chunk; chunk c draws from the stream
+    seeded by (seed, c)."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     values = np.empty(samples)
-    chunks = [(c, min(c + _CHUNK, samples)) for c in range(0, samples, _CHUNK)]
+    size = _chunk_size(nodes_per_sample)
+
+    def work(c: int) -> None:
+        lo, hi = c * size, min((c + 1) * size, samples)
+        values[lo:hi] = values_of(np.random.default_rng([seed, c]), hi - lo)
+
+    n_chunks = -(-samples // size)
     n_workers = int(threads) if threads and threads > 0 else os.cpu_count() or 1
-    if n_workers > 1 and len(chunks) > 1:
+    if n_workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda ab: work(values, *ab), chunks))
+            list(pool.map(work, range(n_chunks)))
     else:
-        for lo, hi in chunks:
-            work(values, lo, hi)
+        for c in range(n_chunks):
+            work(c)
     if not np.all(np.isfinite(values)):
         raise NumericalUnderflow("a root belief entry underflowed to exact zero, "
                                  "making its entropy infinite")
@@ -385,14 +426,13 @@ def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 
                                          threads=threads)
         return replace(est, mode=mode)
 
-    def work(values: np.ndarray, lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.default_rng([seed, i])
-            tree = _sample_gw(spec, rng, max_nodes)
-            u = rng.random(tree.n_nodes)
-            values[i] = _root_entropy_values(tree, channel, u[None, :])[0]
+    def values_of(rng: np.random.Generator, count: int) -> np.ndarray:
+        forest = _sample_gw(spec, rng, max_nodes, roots=count)
+        return _root_entropy_values(forest, channel, rng.random((1, forest.n_nodes)))
 
-    mean, stderr = _run_chunks(work, samples, threads)
+    m = spec.mean_offspring
+    expected_nodes = sum(m ** k for k in range(spec.depth + 1))
+    mean, stderr = _run_chunks(values_of, samples, seed, expected_nodes, threads)
     return RootEntropyEstimate(mean, stderr, samples, spec.depth, mode, seed)
 
 
@@ -404,13 +444,10 @@ def mc_root_entropy_fixed_tree(tree: SampledTree, channel: Channel, samples: int
     seed = int(seed)
     n = tree.n_nodes
 
-    def work(values: np.ndarray, lo: int, hi: int) -> None:
-        u = np.empty((hi - lo, n))
-        for i in range(lo, hi):
-            u[i - lo] = np.random.default_rng([seed, i]).random(n)
-        values[lo:hi] = _root_entropy_values(tree, channel, u)
+    def values_of(rng: np.random.Generator, count: int) -> np.ndarray:
+        return _root_entropy_values(tree, channel, rng.random((count, n)))
 
-    mean, stderr = _run_chunks(work, samples, threads)
+    mean, stderr = _run_chunks(values_of, samples, seed, n, threads)
     return RootEntropyEstimate(mean, stderr, samples, tree.depth, "fixed-tree", seed)
 
 
