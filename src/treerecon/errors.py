@@ -42,4 +42,4 @@ class EnumerationTooLarge(ValueError):
 
 
 class NumericalUnderflow(ArithmeticError):
-    """A belief entry underflowed to exactly zero during the recursion."""
+    """A belief or probability entry underflowed to exactly zero."""

@@ -23,7 +23,7 @@ from scipy.special import rel_entr
 
 from .channels import Channel, binary_channel, make_channel
 from .entropy import symmetrized_entropy_rows
-from .errors import EnumerationTooLarge, TreeError
+from .errors import EnumerationTooLarge, NumericalUnderflow, TreeError
 from .treesim import SampledTree, _one_hot, _upward, tree_from_level_counts
 from .variational import OptimizerConfig, compute_c
 
@@ -109,6 +109,16 @@ def _fold_law(tree: SampledTree, channel: Channel, v: int,
 
 def _law_from_cond(tree: SampledTree, node: int, cond: np.ndarray,
                    alpha: np.ndarray) -> BoundaryLaw:
+    # Above the leaves a positive channel gives every configuration positive
+    # probability under every spin, so an exact zero there is underflow.  Its
+    # posterior would be 0/0, or hold a 0 whose entropy is infinite, so no
+    # identity could be resolved.  (A leaf's own law is the identity.)
+    lost = int(np.count_nonzero(np.any(cond <= 0.0, axis=0)))
+    if lost and tree.node_depth[node] < tree.depth:
+        raise NumericalUnderflow(
+            f"{lost} of {cond.shape[1]} boundary configurations below node {node} "
+            "underflowed to probability 0 under some spin; the exact checks "
+            "need every one in double precision")
     free = alpha @ cond
     posterior = np.ascontiguousarray((alpha[:, None] * cond / free[None, :]).T)
     return BoundaryLaw(int(node), _subtree_leaves(tree, node), cond, free, posterior)

@@ -119,6 +119,24 @@ def test_near_identity_channel_resolves(run_cli, argv):
         assert result["ok"] is True
 
 
+@pytest.mark.parametrize("beta", [40, 100, 350])
+def test_lemma1_near_identity_resolves_or_exits_3(run_cli, beta):
+    # Past beta ~ 50 some boundary laws of the depth-3 tree underflow to 0,
+    # which once printed "lemma1_diff": NaN after an invalid-divide warning.
+    argv = ["verify", "--family", "potts", "--q", "2", "--beta", str(beta),
+            "--tree", "regular:d=2", "--depth", "3", "--suite", "lemma1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    if beta == 40:
+        assert code == 0 and err == ""
+        assert json.loads(out)["ok"] is True
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "underflowed" in err
+
+
 EXTREME_CHANNELS = {
     "potts3-beta20": ["--family", "potts", "--q", "3", "--beta", "20"],
     "subnormal-entries": ["--channel", '{"matrix": [[0.5, 0.5, 5e-324], '
