@@ -105,10 +105,11 @@ def _validate_matrix(matrix) -> np.ndarray:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NotStochastic(f"row {i} sums to {float(rows[i])!r}, not 1 within {ROW_SUM_ATOL}")
-    # exact renormalization after validation
+    # exact renormalization after validation: _normalize_exact's own division
+    # for all rows at once, then its ulp walk on the rows that need it
     m = m / rows[:, None]
-    out = np.empty_like(m)
-    for i in range(m.shape[0]):
+    out = m / m.sum(axis=1)[:, None]
+    for i in np.flatnonzero(out.sum(axis=1) != 1.0):
         out[i] = _normalize_exact(m[i])
     return out
 

@@ -22,7 +22,7 @@ from treerecon import (
     second_eigenvalue,
     stationary_distribution,
 )
-from treerecon.channels import _validate_matrix
+from treerecon.channels import _normalize_exact, _validate_matrix
 
 RELAXED = settings(max_examples=40, deadline=None)
 
@@ -31,6 +31,48 @@ def random_channel(seed, q):
     rng = np.random.default_rng([seed, q])
     rows = rng.dirichlet(np.ones(q), size=q)
     return make_channel(0.8 * rows + 0.2 / q)
+
+
+def _rowwise_normalized(matrix) -> np.ndarray:
+    # The row-by-row renormalization that _validate_matrix batches.
+    m = np.asarray(matrix, dtype=float)
+    m = m / m.sum(axis=1)[:, None]
+    return np.stack([_normalize_exact(row) for row in m])
+
+
+def _named_matrices() -> list:
+    # Channels of the golden files and of the benchmark's command lines.
+    out = []
+    for q, beta in [(2, 0.5), (3, 0.8), (2, 0.7), (3, 0.9), (4, 1.1), (5, 0.3),
+                    (2, 20.0), (3, 1.5), (8, 1.2), (12, 1.0)]:
+        e2b = math.exp(2 * beta)
+        m = np.full((q, q), 1.0 / (e2b + q - 1))
+        np.fill_diagonal(m, e2b / (e2b + q - 1))
+        out.append(m)
+    deltas = [(0.3, 0.1)] + [(0.3, d2) for d2 in np.linspace(0.05, 0.95, 19)]
+    deltas += [(d1, d2) for d1 in (0.01, 0.1, 0.41) for d2 in (0.5, 0.59, 0.9)]
+    out += [[[1 - d1, d1], [1 - d2, d2]] for d1, d2 in deltas]
+    rng = np.random.default_rng(3)
+    for q in (2, 3, 4):
+        # commands.dirichlet_matrix: Dirichlet(1) rows mixed with the uniform row
+        for _ in range(64):
+            rows = 0.5 * rng.dirichlet(np.ones(q), size=q) + 0.5 / q
+            out.append(rows / rows.sum(axis=1, keepdims=True))
+    return out
+
+
+def test_batched_normalization_is_bit_identical():
+    rng = np.random.default_rng(20)
+    matrices = _named_matrices()
+    for q in range(2, 9):
+        for k in range(10_000 // 7):
+            rows = rng.dirichlet(np.ones(q), size=q)
+            if k % 2:  # entries spread over many decades
+                rows = rows * np.exp(rng.normal(scale=4.0, size=(q, q)))
+                rows /= rows.sum(axis=1, keepdims=True)
+            matrices.append(rows)
+    for m in matrices:
+        assert _validate_matrix(m).tobytes() == _rowwise_normalized(m).tobytes()
 
 
 def _reference_stationary(m: np.ndarray) -> list:
