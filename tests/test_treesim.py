@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +21,9 @@ from treerecon import (
     sample_tree,
     tree_from_level_counts,
 )
+from treerecon.entropy import symmetrized_entropy_rows
+from treerecon.oracle import enumerate_boundary_laws
+from treerecon.treesim import _assemble, _chunk_size, _sample_gw, _upward
 
 
 def test_spec_regular_validation():
@@ -336,3 +341,116 @@ def test_depth_sweep_contracts_like_the_constant():
         assert cur.mean <= bound
     single = mc_root_entropy(TreeSpec.regular(2, 4), ch, samples=10_000, seed=7)
     assert single == ests[2]
+
+
+def _level_counts(tree):
+    """Per-level offspring counts of a single tree."""
+    counts = np.diff(np.asarray(tree.child_ptr))
+    lv = tree.level_ptr
+    return [counts[lv[k]:lv[k + 1]] for k in range(tree.depth)]
+
+
+def _forest(trees):
+    # level k of the forest lists tree 0's level-k nodes, then tree 1's, ...
+    levels = zip(*(_level_counts(t) for t in trees))
+    return _assemble([np.concatenate(c) for c in levels], trees[0].depth, len(trees))
+
+
+def test_forest_of_one_tree_matches_belief_recursion():
+    ch = potts_channel(3, 0.8)
+    spec = TreeSpec.galton_watson((0.4, 0.3, 0.3), 3)
+    forest = _sample_gw(spec, np.random.default_rng(4), 10_000, roots=1)
+    tree = sample_tree(spec, rng=np.random.default_rng(4))
+    rows = np.random.default_rng(5).dirichlet((1.0, 1.0, 1.0), size=tree.n_leaves)
+    out = belief_recursion(tree, ch, {int(v): rows[i] for i, v in enumerate(tree.leaves)})
+    full = _upward(forest, ch, rows[None], keep_all=True)[0]
+    root = _upward(forest, ch, rows[None])
+    assert root.shape == (1, 3)
+    assert root[0].tobytes() == out[0].tobytes()
+    for v in range(tree.n_nodes):
+        assert full[v].tobytes() == out[v].tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_forest_roots_match_separate_trees(q):
+    ch = make_channel(0.6 * np.random.default_rng(q).dirichlet(np.ones(q), size=q)
+                      + 0.4 / q)
+    rng = np.random.default_rng(10 + q)
+    spec = TreeSpec.galton_watson((0.3, 0.4, 0.3), 3)
+    trees = [sample_tree(spec, rng=rng) for _ in range(40)]
+    forest = _forest(trees)
+    assert int(forest.level_ptr[1]) == 40
+    assert forest.n_nodes == sum(t.n_nodes for t in trees)
+    batch = 3
+    leaf_rows = [rng.dirichlet(np.ones(q), size=(batch, t.n_leaves)) for t in trees]
+    roots = _upward(forest, ch, np.concatenate(leaf_rows, axis=1))
+    separate = np.stack([_upward(t, ch, rows) for t, rows in zip(trees, leaf_rows)],
+                        axis=1).reshape(-1, q)
+    assert roots.shape == (batch * 40, q)
+    # The BLAS product may round a row by its place in the block (seen here
+    # from q = 4 on, by at most 6 ulps), so equality is up to a few ulps.
+    np.testing.assert_array_max_ulp(roots, separate, maxulp=16)
+
+
+def _gw_trees(pmf, depth):
+    """Every Galton-Watson tree of the given depth with its probability."""
+    def grow(width, levels):
+        if levels == 0:
+            yield [], 1.0
+            return
+        for combo in itertools.product(range(len(pmf)), repeat=width):
+            prob = math.prod(pmf[k] for k in combo)
+            if prob > 0.0:
+                counts = [k + 1 for k in combo]
+                for rest, p_rest in grow(sum(counts), levels - 1):
+                    yield [counts] + rest, prob * p_rest
+
+    yield from grow(1, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_annealed_mean_matches_exact_expectation(binary_0301, depth):
+    pmf = (0.4, 0.6)
+    exact = 0.0
+    for counts, prob in _gw_trees(pmf, depth):
+        law = enumerate_boundary_laws(tree_from_level_counts(counts), binary_0301)
+        rows = symmetrized_entropy_rows(law.posterior, binary_0301.stationary)
+        exact += prob * math.fsum((law.free * rows).tolist())
+    est = mc_root_entropy(TreeSpec.galton_watson(pmf, depth), binary_0301,
+                          samples=20_000, seed=31, mode="annealed")
+    assert abs(est.mean - exact) <= 5 * est.stderr
+
+
+def test_tree_too_large_is_checked_per_tree():
+    spec = TreeSpec.galton_watson({1: 0.5, 3: 0.5}, 3)  # trees of 4..40 nodes
+    forest = _sample_gw(spec, np.random.default_rng(1), 40, roots=200)
+    owner = np.arange(forest.n_nodes)
+    for v in range(200, forest.n_nodes):  # parents precede children
+        owner[v] = owner[forest.parent[v]]
+    largest = int(np.bincount(owner).max())
+    assert largest < forest.n_nodes
+    again = _sample_gw(spec, np.random.default_rng(1), largest, roots=200)
+    assert again.n_nodes == forest.n_nodes
+    with pytest.raises(TreeTooLarge):
+        _sample_gw(spec, np.random.default_rng(1), largest - 1, roots=200)
+    fixed = TreeSpec.galton_watson({3: 1.0}, 4)  # 121 nodes per tree
+    ch = potts_channel(2, 0.5)
+    assert mc_root_entropy(fixed, ch, samples=100, seed=2, max_nodes=121).samples == 100
+    with pytest.raises(TreeTooLarge):
+        mc_root_entropy(fixed, ch, samples=100, seed=2, max_nodes=120)
+
+
+@pytest.mark.parametrize("tree,depth,samples", [
+    ("regular:d=2", 10, 1200),     # 2,047 nodes: chunks of 512 samples
+    ("gw:pmf=0,0.5,0.5", 7, 2500),  # about 1,017 expected nodes: chunks of 1,031
+])
+def test_node_budget_chunks_ignore_thread_count(run_cli, tree, depth, samples):
+    m = 2.0 if tree.startswith("regular") else 2.5
+    assert _chunk_size(sum(m ** k for k in range(depth + 1))) * 2 < samples
+    argv = ["simulate", "--family", "potts", "--q", "2", "--beta", "0.6",
+            "--tree", tree, "--depth", str(depth), "--samples", str(samples),
+            "--seed", "9"]
+    code, serial, _ = run_cli([*argv, "--threads", "1"])
+    assert code == 0
+    assert run_cli([*argv, "--threads", "3"]) == (0, serial, "")
+    assert json.loads(serial)["results"][0]["samples"] == samples
