@@ -113,8 +113,8 @@ def _law_from_cond(tree: SampledTree, node: int, cond: np.ndarray,
     # probability under every spin, so an exact zero there is underflow.  Its
     # posterior would be 0/0, or hold a 0 whose entropy is infinite, so no
     # identity could be resolved.  (A leaf's own law is the identity.)
-    lost = int(np.count_nonzero(np.any(cond <= 0.0, axis=0)))
-    if lost and tree.node_depth[node] < tree.depth:
+    if tree.node_depth[node] < tree.depth and cond.min() <= 0.0:
+        lost = int(np.count_nonzero(np.any(cond <= 0.0, axis=0)))
         raise NumericalUnderflow(
             f"{lost} of {cond.shape[1]} boundary configurations below node {node} "
             "underflowed to probability 0 under some spin; the exact checks "

@@ -430,8 +430,10 @@ def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 
         forest = _sample_gw(spec, rng, max_nodes, roots=count)
         return _root_entropy_values(forest, channel, rng.random((1, forest.n_nodes)))
 
-    m = spec.mean_offspring
-    expected_nodes = sum(m ** k for k in range(spec.depth + 1))
+    expected_nodes = width = 1.0
+    for _ in range(spec.depth):  # float products overflow to inf, never raise
+        width *= spec.mean_offspring
+        expected_nodes += width
     mean, stderr = _run_chunks(values_of, samples, seed, expected_nodes, threads)
     return RootEntropyEstimate(mean, stderr, samples, spec.depth, mode, seed)
 

@@ -438,6 +438,9 @@ def test_tree_too_large_is_checked_per_tree():
     assert mc_root_entropy(fixed, ch, samples=100, seed=2, max_nodes=121).samples == 100
     with pytest.raises(TreeTooLarge):
         mc_root_entropy(fixed, ch, samples=100, seed=2, max_nodes=120)
+    # an expected size beyond the float range still ends in TreeTooLarge
+    with pytest.raises(TreeTooLarge):
+        mc_root_entropy(TreeSpec.galton_watson({3: 1.0}, 700), ch, samples=2)
 
 
 @pytest.mark.parametrize("tree,depth,samples", [
