@@ -53,6 +53,11 @@ def martin_constant(delta1: float, delta2: float) -> float:
     ) ** 2
 
 
+def _check_branching(branching: float) -> None:
+    if not (math.isfinite(branching) and branching >= 1.0):
+        raise ChannelError(f"branching number must be finite and >= 1, got {branching!r}")
+
+
 def fk_criterion(channel: Channel, branching: float, *,
                  c_value: float | None = None,
                  config: OptimizerConfig | None = None) -> FkResult:
@@ -61,8 +66,7 @@ def fk_criterion(channel: Channel, branching: float, *,
     Returns the verdict and the margin 1 - branching * c(M); a positive
     margin proves non-reconstruction.
     """
-    if branching < 1.0:
-        raise ChannelError(f"branching number must be >= 1, got {branching!r}")
+    _check_branching(branching)
     c = compute_c(channel, config).value if c_value is None else float(c_value)
     margin = 1.0 - branching * c
     verdict = Verdict.NON_RECONSTRUCTION if margin > 0.0 else Verdict.INCONCLUSIVE
@@ -102,6 +106,8 @@ def bound_report(channel: Channel, branching: float | None = None, *,
                  config: OptimizerConfig | None = None) -> BoundReport:
     """All applicable bound constants for one channel, with verdicts when a
     branching number is given.  martin and mp require q = 2."""
+    if branching is not None:
+        _check_branching(branching)
     fk = compute_c(channel, config).value
     ks = ks_constant(channel)
     martin = mp = d1 = d2 = None

@@ -3,20 +3,25 @@
 For a node v with L leaves below it, the boundary law stores, for each spin
 j, the probability of every leaf configuration given spin j at v (a
 ``(q, q**L)`` array), the unconditioned law, and the Bayes posterior of v's
-spin per configuration.  Configurations are indexed in mixed radix with the
-leftmost leaf most significant.
+spin per configuration.  Configurations are numpy's C order over the leaves
+in node order, the first leaf's spin varying slowest.
 
 Two independent algorithms produce the laws: a bottom-up fold that sums out
-interior spins one node at a time, and a vectorized sum over all joint spin
-assignments of the subtree.  enumeration_cross_check compares them; the
-identity checks consume the fold.  Reductions over configurations use
-compensated summation so the identity checks resolve 1e-10 gaps reliably.
+interior spins one node at a time, and a sum over every joint spin
+assignment of the subtree.  The latter holds the joint law as one array with
+an axis per node, breadth first: the stationary law on the root's axis times,
+for each further node, the channel with rows on the parent's axis and columns
+on the node's.  Summing the interior axes leaves (root, leaf configuration).
+enumeration_cross_check compares them; the identity checks consume the fold.
+Reductions over configurations use compensated summation so the identity
+checks resolve 1e-10 gaps reliably.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import rel_entr
@@ -58,15 +63,14 @@ class RecursionCheck:
 
 
 def _subtree_nodes(tree: SampledTree, v: int) -> np.ndarray:
-    out = [int(v)]
-    frontier = [int(v)]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            nxt.extend(tree.children(u))
-        out.extend(nxt)
-        frontier = nxt
-    return np.asarray(out, dtype=np.int64)
+    # Breadth first, the subtree holds one contiguous range per level, and the
+    # children of the range [lo, hi) are [child_ptr[lo], child_ptr[hi]).
+    lo, hi = int(v), int(v) + 1
+    levels = []
+    while lo < hi:
+        levels.append(np.arange(lo, hi, dtype=np.int64))
+        lo, hi = int(tree.child_ptr[lo]), int(tree.child_ptr[hi])
+    return np.concatenate(levels)
 
 
 def _subtree_leaves(tree: SampledTree, v: int) -> np.ndarray:
@@ -155,23 +159,18 @@ def brute_force_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0
         raise EnumerationTooLarge(
             f"{q}^{n_sub} = {joint} joint assignments exceed the budget of "
             f"{joint_budget}")
-    leaves = nodes[np.asarray(tree.node_depth)[nodes] == tree.depth]
-    n_configs = _config_count(q, int(leaves.size), budget)
+    n_leaves = int(np.count_nonzero(tree.node_depth[nodes] == tree.depth))
+    n_configs = _config_count(q, n_leaves, budget)
 
-    pos = {int(u): t for t, u in enumerate(nodes)}
-    ar = np.arange(joint, dtype=np.int64)
-    spins = np.empty((joint, n_sub), dtype=np.int8)
-    for t in range(n_sub):
-        spins[:, t] = (ar // (q ** (n_sub - 1 - t))) % q
-    probs = channel.stationary[spins[:, 0]].copy()
-    for t in range(1, n_sub):
-        parent_col = pos[int(tree.parent[nodes[t]])]
-        probs *= channel.matrix[spins[:, parent_col], spins[:, t]]
-    xi = np.zeros(joint, dtype=np.int64)
-    for leaf in leaves:
-        xi = xi * q + spins[:, pos[int(leaf)]]
-    mass = np.zeros((q, n_configs))
-    np.add.at(mass, (spins[:, 0].astype(np.int64), xi), probs)
+    # Axis t is the spin of nodes[t]; nodes are sorted, so the parent's axis is
+    # found by search, and the leaves' axes come last.
+    probs = channel.stationary
+    for t, axis in enumerate(np.searchsorted(nodes, tree.parent[nodes[1:]]), start=1):
+        shape = [1] * (t + 1)
+        shape[axis] = shape[t] = q
+        probs = probs[..., None] * channel.matrix.reshape(shape)
+    mass = (probs.reshape(q, -1, n_configs).sum(axis=1) if n_sub > 1
+            else np.diag(channel.stationary))
     cond = mass / channel.stationary[:, None]
     return _law_from_cond(tree, node, cond, channel.stationary)
 
@@ -243,13 +242,8 @@ def check_main_recursion(tree: SampledTree, channel: Channel, node: int = 0,
     rhs = math.fsum(math.fsum((law.free * rows).tolist())
                     for law, rows in zip(child_laws, child_rows))
 
-    n_configs = int(law_v.free.size)
-    ar = np.arange(n_configs, dtype=np.int64)
-    pointwise_sum = np.zeros(n_configs)
-    block = 1
-    for rows in reversed(child_rows):
-        pointwise_sum += rows[(ar // block) % rows.size]
-        block *= rows.size
+    pointwise_sum = reduce(lambda acc, rows: np.add.outer(rows, acc),
+                           reversed(child_rows)).ravel()
     gaps = np.abs(pointwise_sum - v_rows)
     return RecursionCheck(
         lhs=lhs,
@@ -280,13 +274,8 @@ def bayes_vs_recursion(tree: SampledTree, channel: Channel,
     root posterior and the root belief from the upward recursion."""
     law = enumerate_boundary_laws(tree, channel, 0, budget)
     n_leaves = int(law.leaves.size)
-    n_configs = int(law.free.size)
-    q = channel.q
-    ar = np.arange(n_configs, dtype=np.int64)
-    spins = np.empty((n_configs, n_leaves), dtype=np.int64)
-    for t in range(n_leaves):
-        spins[:, t] = (ar // (q ** (n_leaves - 1 - t))) % q
-    roots = _upward(tree, channel, _one_hot(spins, q))
+    spins = np.indices((channel.q,) * n_leaves).reshape(n_leaves, -1).T
+    roots = _upward(tree, channel, _one_hot(spins, channel.q))
     return float(np.max(np.abs(roots - law.posterior)))
 
 

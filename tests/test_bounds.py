@@ -77,8 +77,13 @@ def test_fk_criterion_verdicts(binary_0301, c_binary_value):
     assert open_case.verdict is Verdict.INCONCLUSIVE
     assert open_case.margin < 0
 
-    with pytest.raises(ChannelError):
-        fk_criterion(binary_0301, 0.5, c_value=c_binary_value)
+    for bad in (0.5, -2.0, math.nan, math.inf):
+        with pytest.raises(ChannelError):
+            fk_criterion(binary_0301, bad, c_value=c_binary_value)
+        with pytest.raises(ChannelError):
+            bound_report(binary_0301, bad)
+        with pytest.raises(ChannelError):
+            table1(0.3, branching=bad)
 
 
 def test_fk_criterion_computes_c(binary_0301, quick_config):

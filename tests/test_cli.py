@@ -80,6 +80,9 @@ def test_validation_failures_exit_2(run_cli):
          "--tree", "regular:d=2", "--depth", "2", "--samples", "10",
          "--threads", "-1"],
         ["bounds", "--family", "potts", "--q", "2", "--beta", "400"],
+        *(["bounds", "--family", "binary", "--delta1", "0.3", "--delta2", "0.1",
+           "--branching", b] for b in ("-2", "0.5", "nan", "inf")),
+        ["table1", "--branching", "nan"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from treerecon import (
     sample_tree,
     tree_from_level_counts,
 )
-from treerecon.oracle import DEFAULT_BUDGET, _fold_law
+from treerecon.oracle import (DEFAULT_BUDGET, _fold_law, _random_small_tree,
+                              _subtree_nodes)
+from treerecon.treesim import _sample_gw
 
 WITNESS_TREE = [[2], [2, 2]]
 
@@ -57,16 +60,59 @@ def test_enumeration_algorithms_agree(binary_0301, witness_tree, potts_tree):
 
 
 def test_fold_keeps_every_node_law(binary_0301, witness_tree, potts_tree):
-    # one bottom-up pass yields the law below every node, each equal to the
-    # independent joint enumeration of that node's subtree
+    # one bottom-up pass yields the law below every node (root, inner nodes
+    # and leaves), each equal to the independent joint enumeration of that
+    # node's subtree
     rows = 0.8 * np.random.default_rng(3).dirichlet(np.ones(3), size=3) + 0.2 / 3
-    for tree, ch in ((witness_tree, binary_0301), (potts_tree, potts_channel(3, 0.8)),
-                     (witness_tree, make_channel(rows))):  # the last is not reversible
+    cases = [(witness_tree, binary_0301), (potts_tree, potts_channel(3, 0.8)),
+             (witness_tree, make_channel(rows))]  # the last is not reversible
+    rng = np.random.default_rng(11)
+    for k in range(24):  # random channels, q = 2..4, on trees small enough for q = 4
+        q = 2 + k % 3
+        ch = make_channel(0.8 * rng.dirichlet(np.ones(q), size=q) + 0.2 / q)
+        cases.append((_random_small_tree(rng, 1 + k % 3, max_nodes=9), ch))
+    for tree, ch in cases:
         laws = _fold_law(tree, ch, 0, DEFAULT_BUDGET)
         assert sorted(laws) == list(range(tree.n_nodes))
         for u, cond in laws.items():
             brute = brute_force_boundary_laws(tree, ch, u).cond
-            np.testing.assert_allclose(cond, brute, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cond, brute, rtol=0, atol=1e-15)
+
+
+def _children_walk(tree, v):
+    out, frontier = [v], [v]
+    while frontier:
+        frontier = [w for u in frontier for w in tree.children(u)]
+        out.extend(frontier)
+    return out
+
+
+def test_subtree_nodes_match_children_walk():
+    gw = TreeSpec.galton_watson({1: 0.4, 2: 0.3, 3: 0.3}, 4)
+    trees = [sample_tree(TreeSpec.regular(3, 3)),
+             sample_tree(gw, rng=np.random.default_rng(2)),
+             _sample_gw(gw, np.random.default_rng(5), 10_000, roots=4)]
+    for tree in trees:
+        for v in range(tree.n_nodes):
+            assert _subtree_nodes(tree, v).tolist() == _children_walk(tree, v)
+
+
+def test_budgets_raise_before_allocating(binary_0301):
+    # 2^63 joint assignments could not be allocated at all; the star's 2^21
+    # fit the joint budget, a 16 MB array, but its 2^20 leaf configurations
+    # exceed budget=1000
+    deep = sample_tree(TreeSpec.regular(2, 5))
+    star = tree_from_level_counts([[20]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge):
+            brute_force_boundary_laws(deep, binary_0301)
+        with pytest.raises(EnumerationTooLarge):
+            brute_force_boundary_laws(star, binary_0301, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_brute_force_law_normalization(binary_0301, witness_tree):
