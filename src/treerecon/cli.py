@@ -25,9 +25,9 @@ from .bounds import DELTA2_GRID, BoundReport, bound_report, table1
 from .channels import (Channel, binary_channel, channel_from_json,
                        channel_to_json, potts_channel)
 from .errors import ChannelError, NoConvergence
-from .oracle import (BAYES_TOL, LEMMA1_TOL, PROPAGATION_TOL, RECURSION_TOL,
-                     bayes_vs_recursion, check_lemma1, check_lyapunov_bound,
-                     check_main_recursion, check_propagation, run_suite)
+from .oracle import (TOLERANCES, bayes_vs_recursion, check_lemma1,
+                     check_lyapunov_bound, check_main_recursion,
+                     check_propagation, run_suite)
 from .treesim import TreeSpec, depth_sweep, sample_tree
 from .variational import OptimizerConfig, compute_c
 
@@ -38,9 +38,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
 
 LYAPUNOV_MARGIN_TOL = 1e-9
-# check of one verify instance -> largest difference that passes
-INSTANCE_TOLS = {"lemma1_diff": LEMMA1_TOL, "recursion_diff": RECURSION_TOL,
-                 "propagation_diff": PROPAGATION_TOL, "bayes_diff": BAYES_TOL}
 
 BOUND_NAMES = ("fk", "ks", "martin", "mp")
 SUITE_KEYS = ("max_recursion_diff", "max_lemma1_diff", "max_propagation_diff",
@@ -411,8 +408,8 @@ def _cmd_verify(args) -> dict:
             tree, channel, 0, config=_optimizer_config(args))
     if want == "all":
         checks["bayes_diff"] = bayes_vs_recursion(tree, channel)
-    ok = (all(checks[key] <= tol for key, tol in INSTANCE_TOLS.items()
-              if key in checks)
+    ok = (all(checks[f"{check}_diff"] <= tol for check, tol in TOLERANCES.items()
+              if f"{check}_diff" in checks)
           and checks.get("lyapunov_margin", 0.0) >= -LYAPUNOV_MARGIN_TOL)
     return {
         "command": "verify",

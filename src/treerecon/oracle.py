@@ -36,10 +36,10 @@ DEFAULT_BUDGET = 10 ** 6
 JOINT_BUDGET = 4_000_000
 POINTWISE_TOL = 1e-9
 
-RECURSION_TOL = 1e-10
-LEMMA1_TOL = 1e-10
-PROPAGATION_TOL = 1e-12
-BAYES_TOL = 1e-12
+# check -> largest difference that passes, for the suite's worst gap
+# ("max_<check>_diff") and for one instance ("<check>_diff")
+TOLERANCES = {"recursion": 1e-10, "lemma1": 1e-10, "propagation": 1e-12,
+              "bayes": 1e-12}
 WITNESS_GAP = 1e-3
 
 
@@ -370,20 +370,11 @@ def run_suite(seed: int = 0, count: int = 50) -> dict:
         "max_enumeration_diff": max(r["enumeration_diff"] for r in rows),
         "witness_instances": sum(
             1 for r in rows if r["max_pointwise_gap"] > WITNESS_GAP),
-        "tolerances": {
-            "recursion": RECURSION_TOL,
-            "lemma1": LEMMA1_TOL,
-            "propagation": PROPAGATION_TOL,
-            "bayes": BAYES_TOL,
-            "witness_gap": WITNESS_GAP,
-        },
+        "tolerances": {**TOLERANCES, "witness_gap": WITNESS_GAP},
         "instances": rows,
     }
     report["ok"] = bool(
-        report["max_recursion_diff"] <= RECURSION_TOL
-        and report["max_lemma1_diff"] <= LEMMA1_TOL
-        and report["max_propagation_diff"] <= PROPAGATION_TOL
-        and report["max_bayes_diff"] <= BAYES_TOL
+        all(report[f"max_{check}_diff"] <= tol for check, tol in TOLERANCES.items())
         and report["witness_instances"] >= 1
     )
     return report

@@ -1,13 +1,15 @@
 """Variational constant c(M) = sup_p L(p M_rev) / L(p) over the simplex.
 
 The ratio is 0/0 at p = alpha; its supremum over directions v with sum v = 0
-of the second-order expansion is the generalized Rayleigh quotient
+of the second-order expansion is the Rayleigh quotient
 
     sup_v  (sum_i (v M_rev)_i^2 / alpha_i) / (sum_i v_i^2 / alpha_i),
 
-computed exactly as a generalized symmetric eigenproblem.  That near-center
-value is always merged with the interior search, so the reported constant is
-max(near-center limit, best evaluated ratio).
+computed exactly as the squared second singular value of
+K[i, j] = sqrt(alpha_j) M(j, i) / sqrt(alpha_i): the top eigenvalue of X X^T
+with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
+That near-center value is always merged with the interior search, so the
+reported constant is max(near-center limit, best evaluated ratio).
 
 Each constant has one objective F, a rows function mapping an (S, q) array
 of beliefs to S values, guard zone included, and one search, _maximize.
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from numpy.linalg import eigh
 from scipy.optimize import minimize, minimize_scalar
 
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
@@ -83,22 +85,18 @@ def ratio(p, channel: Channel) -> float:
 
 
 def _near_center(channel: Channel) -> tuple[float, np.ndarray]:
-    q = channel.q
-    a = channel.stationary
-    rev = channel.reversed
-    B = null_space(np.ones((1, q)))  # orthonormal basis of {v : sum v = 0}
-    D = np.diag(1.0 / a)
-    A2 = B.T @ rev @ D @ rev.T @ B
-    A2 = 0.5 * (A2 + A2.T)
-    D2 = B.T @ D @ B
-    D2 = 0.5 * (D2 + D2.T)
+    # With s = sqrt(alpha) and v = s * w the quotient is |K^T w|^2 / |w|^2
+    # over w orthogonal to s, where K[i, j] = s_j M(j, i) / s_i; K and K^T
+    # both fix s, so X = K - s s^T has X^T = K^T on that complement and
+    # X^T s = 0.  The limit is the top eigenvalue of X X^T.
+    s = np.sqrt(channel.stationary)
+    X = channel.matrix.T * (s[None, :] / s[:, None]) - np.outer(s, s)
     try:
-        w, V = eigh(A2, D2)
-    except np.linalg.LinAlgError as exc:  # D2 too ill-conditioned to factor
+        w, V = eigh(X @ X.T)
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"near-center eigensolve failed: {exc}") from None
-    v = B @ V[:, -1]
-    v = v / np.max(np.abs(v))
-    return float(w[-1]), v
+    v = s * V[:, -1]
+    return float(w[-1]), v / np.max(np.abs(v))
 
 
 def near_center_limit(channel: Channel) -> float:
@@ -154,8 +152,11 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     """Best found (value, point, iterations, method, starts, grid_points) of
     the rows objective F over the q-simplex.  The q = 2 grid refines its
     best 8 local maxima and its maximum, and counts refinement evaluations
-    as iterations; q >= 3 starts also perturb ``center``.
+    as iterations; q >= 3 starts also perturb ``center``.  Fewer than one
+    start is a ValueError for every q.
     """
+    if cfg.starts < 1:
+        raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
     if q == 2:
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
@@ -200,7 +201,7 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
         res = nelder_mead(np.log(p0 / p0[-1])[:-1], 1e-10)
         return -float(res.fun), res.x, int(res.nit), bool(res.success)
 
-    results = [one_start(k) for k in range(max(int(cfg.starts), 1))]
+    results = [one_start(k) for k in range(int(cfg.starts))]
 
     if not any(ok for _, _, _, ok in results):
         raise NoConvergence("no optimizer start converged within the iteration budget")
@@ -229,8 +230,9 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     a = channel.stationary
     nc_value, nc_dir = _near_center(channel)
 
-    # representative point for the near-center candidate, inside the guard zone
-    eps = 1e-9 * float(a.min()) / float(np.max(np.abs(nc_dir)))
+    # representative point for the near-center candidate, inside the guard
+    # zone (the largest entry of nc_dir is +-1)
+    eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
     best_v, best_p, iters, method, starts, grid_points = _maximize(

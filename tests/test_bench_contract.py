@@ -5,13 +5,15 @@ bench/run.py imports the package and bench/workloads.py in-process, so a
 package change that breaks a name, a signature or a reference computation
 the workloads rely on would make every benchmark run fail with malformed
 output.  This builds each workload's operations, parses every command line
-with the CLI's parser, runs every check on a deliberately wrong output, and
-runs real commands through their reference checks, without touching the
-files under bench/.
+with the CLI's parser, runs every check on a deliberately wrong output,
+runs real commands through their reference checks, and traces a short pass
+with bench/tracer.py, without touching the files under bench/.
 """
 
 import contextlib
 import io
+import json
+import math
 import pathlib
 import sys
 
@@ -21,9 +23,14 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import commands  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
+import treerecon.cli  # noqa: E402
 from treerecon.cli import build_parser, main  # noqa: E402
+
+# per-layer metrics that bench/run.py computes itself rather than the Tracer
+RUNNER_METRICS = {"cli.uncaught", "trace.overhead_s", "trace.coverage"}
 
 
 @pytest.mark.parametrize("name", sorted(commands.WORKLOADS))
@@ -69,3 +76,26 @@ def test_workload_passes_its_reference_checks(name):
             code = main([*op.argv, "--threads", "1", "--format", "json"])
         assert code == op.expect_exit, op.name
         assert op.check(out.getvalue()) is None, op.name
+
+
+@pytest.mark.parametrize("name", sorted(commands.WORKLOADS))
+def test_traced_pass_reports_every_layer_metric(name):
+    # A wrap target that a refactor renamed or removed, or a counter hook
+    # that cannot read a result, silently drops per-layer metrics from a
+    # traced benchmark run.  The CLI is called through the module so that
+    # the wrapped main is the one that runs.
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    expected = {m["name"] for m in declared["per_layer"]} - RUNNER_METRICS
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for op in workloads.build(name, 1, workloads.load_refs())[:2]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                treerecon.cli.main([*op.argv, "--threads", "1", "--format", "json"])
+    finally:
+        tr.uninstall()
+    assert tr.missing == []
+    assert not tr.broken
+    metrics = tr.metrics()
+    assert set(metrics) == expected
+    assert all(math.isfinite(v) for v in metrics.values())

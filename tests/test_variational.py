@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from treerecon import (
     OptimizerConfig,
     binary_channel,
     compute_c,
+    ks_constant,
     make_channel,
     near_center_limit,
     permute_channel,
@@ -17,7 +19,7 @@ from treerecon import (
     potts_channel,
     ratio,
 )
-from treerecon.variational import GUARD_L1, MIN_GRID_POINTS, _ratio_rows
+from treerecon.variational import GUARD_L1, MIN_GRID_POINTS, _near_center, _ratio_rows
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +214,93 @@ def test_guard_rows_stay_below_near_center_limit(delta1, delta2):
         P = P[np.abs(P - ch.stationary).sum(axis=1) < GUARD_L1]
         assert len(P) > 0 or len(t) > MIN_GRID_POINTS
         assert np.all(F(P) <= limit * (1 + 1e-9))
+
+
+def _mp_stationary(m):
+    """Stationary law of the stored matrix by GTH elimination in mpmath."""
+    q = len(m)
+    P = [[mpmath.mpf(float(x)) for x in row] for row in m]
+    for n in range(q - 1, 0, -1):
+        out = mpmath.fsum(P[n][:n])
+        for i in range(n):
+            P[i][n] /= out
+        for i in range(n):
+            for j in range(n):
+                P[i][j] += P[i][n] * P[n][j]
+    pi = [mpmath.mpf(1)]
+    for j in range(1, q):
+        pi.append(mpmath.fsum(pi[i] * P[i][j] for i in range(j)))
+    total = mpmath.fsum(pi)
+    return [x / total for x in pi]
+
+
+def _mp_quotient(v, m, a):
+    """sum_j (v M_rev)_j^2 / alpha_j over sum_i v_i^2 / alpha_i, as defined."""
+    q = len(a)
+    w = [mpmath.fsum(v[i] * a[j] * m[j][i] / a[i] for i in range(q)) for j in range(q)]
+    return (mpmath.fsum(w[j] ** 2 / a[j] for j in range(q))
+            / mpmath.fsum(v[i] ** 2 / a[i] for i in range(q)))
+
+
+def _mp_near_center(ch):
+    """The near-center limit at 50 digits: with v = sqrt(alpha) w the
+    quotient is w^T K K^T w / |w|^2, maximized over w orthogonal to
+    sqrt(alpha) by the top eigenvalue of P K K^T P, P the projector on that
+    complement.  Also returns the stored matrix and alpha in mpmath."""
+    q = ch.q
+    m = [[mpmath.mpf(float(x)) for x in row] for row in ch.matrix]
+    a = _mp_stationary(ch.matrix)
+    s = mpmath.matrix([mpmath.sqrt(x) for x in a])
+    K = mpmath.matrix(q, q)
+    for i in range(q):
+        for j in range(q):
+            K[i, j] = s[j] * m[j][i] / s[i]
+    P = mpmath.eye(q) - s * s.T
+    return max(mpmath.eigsy(P * K * K.T * P, eigvals_only=True)), m, a
+
+
+def _near_center_panel():
+    rng = np.random.default_rng(2024)
+    panel = []
+    for k in range(30):
+        q = 2 + k % 5
+        rows = rng.dirichlet(np.ones(q), size=q)
+        if k % 3 == 2:  # entries down to 1e-120, alpha over many decades
+            rows = rows * 10.0 ** -rng.uniform(0, 120, size=(q, q))
+            rows[np.arange(q), rng.integers(q, size=q)] += 1.0
+        panel.append(make_channel(rows / rows.sum(axis=1, keepdims=True)))
+    panel += [potts_channel(q, beta) for q in (2, 3, 5) for beta in (0.0, 1.0, 20.0)]
+    panel += [binary_channel(0.3, 0.1), binary_channel(0.3, 0.7),
+              binary_channel(0.01, 0.5), binary_channel(0.41, 0.59)]
+    return panel
+
+
+def test_near_center_matches_mpmath_reference():
+    # X's entries carry rounding of order 1e-16, so a limit of order 1e-32
+    # (a zero-information channel, where X vanishes) is resolved only to an
+    # absolute 1e-30; every other limit to 1e-13 relative.  The returned
+    # direction must attain the limit in the quotient's own definition.
+    with mpmath.workdps(50):
+        for ch in _near_center_panel():
+            ref, m, a = _mp_near_center(ch)
+            value, direction = _near_center(ch)
+            assert abs(value - ref) <= 1e-13 * ref + 1e-30, ch.matrix
+            assert np.max(np.abs(direction)) == 1.0
+            if ref > 1e-20:
+                v = [mpmath.mpf(float(x)) for x in direction]
+                assert abs(_mp_quotient(v, m, a) - ref) <= 1e-13 * ref, ch.matrix
+
+
+def test_near_center_limit_dominates_ks():
+    # K is similar to M^T and X = K - s s^T keeps its eigenvalues other than
+    # 1, so sigma_2(K) >= |lambda_2|: near_center_limit >= ks, with equality
+    # when M is reversible (K symmetric).
+    rng = np.random.default_rng(11)
+    for k in range(400):
+        q = 2 + k % 5
+        ch = make_channel(0.9 * rng.dirichlet(np.ones(q), size=q) + 0.1 / q)
+        assert near_center_limit(ch) >= ks_constant(ch) - 1e-14
+        w = rng.uniform(0.05, 1.0, size=(q, q))
+        w = w + w.T
+        rev = make_channel(w / w.sum(axis=1, keepdims=True))
+        assert abs(near_center_limit(rev) - ks_constant(rev)) <= 1e-14
