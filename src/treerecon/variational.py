@@ -16,9 +16,10 @@ of beliefs to S values, guard zone included, and one search, _maximize.
 For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
 100,001 are raised to 100,001) and refines the best local maxima on single
 rows; for q >= 3 it runs multistart Nelder-Mead in softmax coordinates.
-The starts run one after another; start k draws its randomness from a
-stream seeded by (seed, k), and the first of equal maxima wins, so results
-depend only on the configuration.
+minimize advances all starts together as one (starts, q, q - 1) array of
+simplices, with one F call per step for the trial points of every live
+start.  Start k draws its randomness from a stream seeded by (seed, k), and
+the first of equal maxima wins, so results depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
 from .entropy import symmetrized_entropy, symmetrized_entropy_rows
@@ -54,6 +55,8 @@ class MethodTrace:
     starts: int
     grid_points: int
     iterations: int
+    evaluations: int
+    failed_starts: int
     near_center_value: float
     near_center_is_max: bool
     seed: int
@@ -95,7 +98,10 @@ def _near_center(channel: Channel) -> tuple[float, np.ndarray]:
         w, V = eigh(X @ X.T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"near-center eigensolve failed: {exc}") from None
-    v = s * V[:, -1]
+    # X X^T s = 0, so when every eigenvalue is 0 to rounding (zero-information
+    # channels) the top eigenvector can be s itself, off the plane sum v = 0.
+    u = V[:, -2] if abs(V[:, -1] @ s) > 0.5 else V[:, -1]
+    v = s * u
     return float(w[-1]), v / np.max(np.abs(v))
 
 
@@ -143,20 +149,130 @@ def _ratio_rows(channel: Channel, nc_value: float):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
+    """Softmax along the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """One batched Nelder-Mead search: the point and value of the first row
+    of least value, iterations and objective rows summed over all rows,
+    whether any row converged, and how many rows did not."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    failed: int
+
+
+def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
+    """Nelder-Mead from every row of X0 at once; f maps an (n, N) array to n values.
+
+    Each row follows scipy's non-adaptive Nelder-Mead step for step: the same
+    initial simplex, coefficients, comparisons and sort, and nit counting from
+    1 with no convergence test once it reaches max_iters.  A step evaluates
+    the four trial points of every live row in one f call, and the shrunk
+    vertices of the rows that shrink in a second, so a row's path is scipy's
+    wherever f evaluates each row independently of the others.
+    """
+    X0 = np.array(X0, dtype=float, ndmin=2)
+    S, N = X0.shape
+    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    sim[:, k + 1, k] = np.where(X0 != 0, 1.05 * X0, 0.00025)
+    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    nfev = S * (N + 1)
+    order = np.argsort(fsim, axis=1)
+    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+    fsim = np.take_along_axis(fsim, order, axis=1)
+    nit = np.ones(S, dtype=np.int64)
+    converged = np.zeros(S, dtype=bool)
+    while True:
+        rows = np.flatnonzero(~converged & (nit < max_iters))
+        s, fs = sim[rows], fsim[rows]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
+        converged[rows[done]] = True
+        rows, s, fs = rows[~done], s[~done], fs[~done]
+        if rows.size == 0:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        # reflection, expansion, outside and inside contraction
+        trial = np.stack([2 * xbar - 1 * worst, 3 * xbar - 2 * worst,
+                          1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst], axis=1)
+        ft = f(trial.reshape(-1, N)).reshape(-1, 4)
+        nfev += ft.size
+        fr, fe, fc, fcc = ft.T
+        expand = fr < fs[:, 0]
+        contract = ~expand & ~(fr < fs[:, -2])
+        outside = contract & (fr < fs[:, -1])
+        take_c = outside & (fc <= fr)
+        take_cc = contract & ~outside & (fcc < fs[:, -1])
+        shrink = contract & ~take_c & ~take_cc
+        pick = np.select([expand & (fe < fr), take_c, take_cc], [1, 2, 3], 0)
+        m = np.flatnonzero(~shrink)
+        s[m, -1] = trial[m, pick[m]]
+        fs[m, -1] = ft[m, pick[m]]
+        if shrink.any():
+            b = s[shrink]
+            b[:, 1:] = b[:, :1] + 0.5 * (b[:, 1:] - b[:, :1])
+            s[shrink] = b
+            fs[shrink, 1:] = f(b[:, 1:].reshape(-1, N)).reshape(-1, N)
+            nfev += b.shape[0] * N
+        order = np.argsort(fs, axis=1)
+        sim[rows] = np.take_along_axis(s, order[:, :, None], axis=1)
+        fsim[rows] = np.take_along_axis(fs, order, axis=1)
+        nit[rows] += 1
+    best = int(np.argmin(fsim[:, 0]))
+    return SearchResult(x=sim[best, 0].copy(), fun=float(fsim[best, 0]),
+                        nit=int(nit.sum()), nfev=nfev,
+                        success=bool(converged.any()),
+                        failed=int(S - converged.sum()))
+
+
+def _softmax_objective(F):
+    """-F in softmax coordinates: row x of X stands for softmax([x, 0])."""
+    def f(X: np.ndarray) -> np.ndarray:
+        return -F(_softmax(np.concatenate([X, np.zeros((len(X), 1))], axis=1)))
+    return f
+
+
+def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    """The (starts, q - 1) softmax coordinates of the multistart search:
+    the q corners, then alternately a Dirichlet point and a perturbation of
+    ``center``, start k drawing from default_rng([seed, k])."""
+    X0 = np.empty((int(cfg.starts), q - 1))
+    for k in range(len(X0)):
+        rng = np.random.default_rng([cfg.seed, k])
+        if k < q:
+            p0 = np.full(q, 1e-6 / q)
+            p0[k] += 1.0 - 1e-6
+        elif (k - q) % 2 == 0:
+            p0 = rng.dirichlet(np.ones(q))
+        else:
+            p0 = _softmax(np.log(center) + 0.5 * rng.standard_normal(q))
+        p0 = np.maximum(p0, 1e-12)
+        X0[k] = np.log(p0 / p0[-1])[:-1]
+    return X0
 
 
 def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
-    """Best found (value, point, iterations, method, starts, grid_points) of
-    the rows objective F over the q-simplex.  The q = 2 grid refines its
-    best 8 local maxima and its maximum, and counts refinement evaluations
-    as iterations; q >= 3 starts also perturb ``center``.  Fewer than one
-    start is a ValueError for every q.
+    """Best found (value, point, stats) of the rows objective F over the
+    q-simplex, where stats holds the search's MethodTrace fields.  The q = 2
+    grid refines its best 8 local maxima and its maximum, and counts
+    refinement evaluations as iterations; q >= 3 runs all starts in one
+    batched Nelder-Mead, whose starts also perturb ``center``, then polishes
+    the winner.  Fewer than one start or iteration is a ValueError for
+    every q.
     """
     if cfg.starts < 1:
         raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
+    if cfg.max_iters < 1:
+        raise ValueError(f"optimizer max_iters must be >= 1, got {cfg.max_iters}")
     if q == 2:
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
@@ -178,46 +294,25 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
             v = -float(res.fun)
             if v > best_v:
                 best_v, best_t = v, float(res.x)
-        return best_v, np.array([best_t, 1.0 - best_t]), nfev, "grid-1d", 0, n_points
+        stats = dict(method="grid-1d", starts=0, grid_points=n_points,
+                     iterations=nfev, evaluations=n_points + nfev, failed_starts=0)
+        return best_v, np.array([best_t, 1.0 - best_t]), stats
 
-    def nelder_mead(x0: np.ndarray, xatol: float):
-        return minimize(
-            lambda x: -F(_softmax(np.concatenate([x, [0.0]]))[None])[0],
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "fatol": cfg.tol, "xatol": xatol},
-        )
-
-    def one_start(k: int):
-        rng = np.random.default_rng([cfg.seed, k])
-        if k < q:
-            p0 = np.full(q, 1e-6 / q)
-            p0[k] += 1.0 - 1e-6
-        elif (k - q) % 2 == 0:
-            p0 = rng.dirichlet(np.ones(q))
-        else:
-            p0 = _softmax(np.log(center) + 0.5 * rng.standard_normal(q))
-        p0 = np.maximum(p0, 1e-12)
-        res = nelder_mead(np.log(p0 / p0[-1])[:-1], 1e-10)
-        return -float(res.fun), res.x, int(res.nit), bool(res.success)
-
-    results = [one_start(k) for k in range(int(cfg.starts))]
-
-    if not any(ok for _, _, _, ok in results):
+    f = _softmax_objective(F)
+    X0 = _starts(q, center, cfg)
+    res = minimize(f, X0, cfg.max_iters, cfg.tol, 1e-10)
+    if not res.success:
         raise NoConvergence("no optimizer start converged within the iteration budget")
-
-    iters = sum(nit for _, _, nit, _ in results)
-    best_v, best_x = -math.inf, None
-    for v, x, _, _ in results:  # first start wins ties: deterministic merge
-        if v > best_v:
-            best_v, best_x = v, x
+    best_v, best_x = -res.fun, res.x
     # one polish pass from the winning point
-    res = nelder_mead(best_x, 1e-12)
-    iters += int(res.nit)
-    if -float(res.fun) > best_v:
-        best_v, best_x = -float(res.fun), res.x
+    polish = minimize(f, best_x, cfg.max_iters, cfg.tol, 1e-12)
+    if -polish.fun > best_v:
+        best_v, best_x = -polish.fun, polish.x
     best_p = _softmax(np.concatenate([best_x, [0.0]]))
-    return best_v, best_p, iters, "multistart-nelder-mead", int(cfg.starts), 0
+    stats = dict(method="multistart-nelder-mead", starts=len(X0), grid_points=0,
+                 iterations=res.nit + polish.nit, evaluations=res.nfev + polish.nfev,
+                 failed_starts=res.failed)
+    return best_v, best_p, stats
 
 
 def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> VariationalResult:
@@ -235,17 +330,13 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    best_v, best_p, iters, method, starts, grid_points = _maximize(
-        _ratio_rows(channel, nc_value), channel.q, a, cfg)
+    best_v, best_p, stats = _maximize(_ratio_rows(channel, nc_value), channel.q, a, cfg)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
     argmax = p_nc if near_wins else best_p
     trace = MethodTrace(
-        method=method,
-        starts=starts,
-        grid_points=grid_points,
-        iterations=iters,
+        **stats,
         near_center_value=nc_value,
         # flag tolerates optimizer-level noise: a point beating the
         # directional limit by < 1e-9 is not evidence of an interior maximum

@@ -85,6 +85,8 @@ def test_validation_failures_exit_2(run_cli):
         ["table1", "--branching", "nan"],
         *(["c-of-m", "--family", "potts", "--q", "3", "--beta", "0.8",
            "--starts", n, "--format", "json"] for n in ("0", "-2")),
+        *(["c-of-m", "--family", "potts", "--q", q, "--beta", "0.8",
+           "--max-iters", n] for q in ("2", "3") for n in ("0", "-5")),
     ]
     for argv in cases:
         code, _, err = run_cli(argv)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from treerecon import (
     BadDimension,
@@ -19,7 +20,15 @@ from treerecon import (
     potts_channel,
     ratio,
 )
-from treerecon.variational import GUARD_L1, MIN_GRID_POINTS, _near_center, _ratio_rows
+from treerecon.variational import (
+    GUARD_L1,
+    MIN_GRID_POINTS,
+    _near_center,
+    _ratio_rows,
+    _softmax_objective,
+    _starts,
+    minimize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +100,13 @@ def test_lower_bound_consistency(c_binary, binary_0301):
 
 
 def test_zero_information_channel(quick_config):
-    assert compute_c(potts_channel(2, 0.0)).value <= 1e-12
-    assert compute_c(potts_channel(3, 0.0), quick_config).value <= 1e-12
+    # every direction attains the limit 0; the reported argmax must still
+    # lie off alpha, where ratio() is defined
+    for q in (2, 3, 5):
+        ch = potts_channel(q, 0.0)
+        res = compute_c(ch, quick_config)
+        assert res.value <= 1e-12
+        assert math.isfinite(ratio(res.argmax, ch))
 
 
 def test_potts_reduction_q2():
@@ -304,3 +318,59 @@ def test_near_center_limit_dominates_ks():
         w = w + w.T
         rev = make_channel(w / w.sum(axis=1, keepdims=True))
         assert abs(near_center_limit(rev) - ks_constant(rev)) <= 1e-14
+
+
+CROSS_CFG = OptimizerConfig(starts=8, max_iters=1500)
+
+
+def _random_channel(q, seed):
+    return make_channel(np.random.default_rng(seed).dirichlet(np.ones(q), size=q))
+
+
+def _scipy_and_batched(ch):
+    """scipy's Nelder-Mead from each start of the multistart search, one
+    point per call, with the objective and starts of compute_c."""
+    f = _softmax_objective(_ratio_rows(ch, near_center_limit(ch)))
+    X0 = _starts(ch.q, ch.stationary, CROSS_CFG)
+    ref = [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
+                          options={"maxiter": CROSS_CFG.max_iters,
+                                   "fatol": CROSS_CFG.tol, "xatol": 1e-10})
+           for x0 in X0]
+    return f, X0, ref
+
+
+CROSS_Q3 = {
+    "random-0": lambda: _random_channel(3, 60),
+    "random-1": lambda: _random_channel(3, 61),
+    "random-2": lambda: _random_channel(3, 62),
+    "potts-beta1": lambda: potts_channel(3, 1.0),
+    "potts-beta0": lambda: potts_channel(3, 0.0),  # flat: ties everywhere
+}
+
+
+@pytest.mark.parametrize("name", CROSS_Q3)
+def test_batched_nelder_mead_matches_scipy_bitwise(name):
+    # At q = 3 the objective rounds each row alike in any batch, so every
+    # start must follow scipy's path bit for bit, and the batch must return
+    # the first start of least value.
+    f, X0, ref = _scipy_and_batched(CROSS_Q3[name]())
+    for x0, r in zip(X0, ref):
+        one = minimize(f, x0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+        assert one.x.tobytes() == r.x.tobytes()
+        assert (one.fun, one.nit, one.success) == (r.fun, r.nit, r.success)
+    batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+    first = min(range(len(ref)), key=lambda k: (ref[k].fun, k))
+    assert batch.x.tobytes() == ref[first].x.tobytes()
+    assert batch.fun == ref[first].fun
+    assert batch.nit == sum(r.nit for r in ref)
+    assert batch.failed == sum(not r.success for r in ref)
+    assert batch.success
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_batched_nelder_mead_reaches_scipy_best(q):
+    # At q >= 4 a one-row product rounds differently from the same row in a
+    # block, so paths may part; the best value must not fall behind scipy's.
+    f, X0, ref = _scipy_and_batched(_random_channel(q, 70 + q))
+    batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+    assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
