@@ -355,6 +355,9 @@ def _cmd_c_of_m(args) -> dict:
         "near_center_is_max": bool(trace.near_center_is_max),
         "method": trace.method,
         "starts": int(trace.starts),
+        "iterations": int(trace.iterations),
+        "evaluations": int(trace.evaluations),
+        "failed_starts": int(trace.failed_starts),
         "seed": int(trace.seed),
     }
 

@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 
+from treerecon.variational import MIN_GRID_POINTS
+
 QUICK = ["--starts", "8", "--grid-points", "50001"]
 
 
@@ -27,6 +29,9 @@ def test_c_of_m_json_format(run_cli):
     assert report["near_center_is_max"] is True
     assert report["seed"] == 5
     assert report["method"] == "grid-1d"
+    # the refinement's evaluations count as iterations, after the grid's
+    assert report["evaluations"] == MIN_GRID_POINTS + report["iterations"]
+    assert report["failed_starts"] == 0
     assert len(report["argmax"]) == 2
     assert "channel" in report
 
