@@ -99,9 +99,15 @@ def _near_center(channel: Channel) -> tuple[float, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"near-center eigensolve failed: {exc}") from None
     # X X^T s = 0, so when every eigenvalue is 0 to rounding (zero-information
-    # channels) the top eigenvector can be s itself, off the plane sum v = 0.
+    # channels) the top eigenvector can be s itself; take the next one then.
+    # An eigenvector is orthogonal to s only to an absolute 1e-16, far off
+    # the plane sum v = 0 when alpha spans many decades, so the entry of
+    # largest alpha, which the quotient weighs least, balances the others.
     u = V[:, -2] if abs(V[:, -1] @ s) > 0.5 else V[:, -1]
     v = s * u
+    j = int(np.argmax(s))
+    v[j] = 0.0
+    v[j] = -v.sum()
     return float(w[-1]), v / np.max(np.abs(v))
 
 

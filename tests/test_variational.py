@@ -293,13 +293,15 @@ def test_near_center_matches_mpmath_reference():
     # X's entries carry rounding of order 1e-16, so a limit of order 1e-32
     # (a zero-information channel, where X vanishes) is resolved only to an
     # absolute 1e-30; every other limit to 1e-13 relative.  The returned
-    # direction must attain the limit in the quotient's own definition.
+    # direction must lie on the plane sum v = 0 and attain the limit in the
+    # quotient's own definition.
     with mpmath.workdps(50):
         for ch in _near_center_panel():
             ref, m, a = _mp_near_center(ch)
             value, direction = _near_center(ch)
             assert abs(value - ref) <= 1e-13 * ref + 1e-30, ch.matrix
             assert np.max(np.abs(direction)) == 1.0
+            assert abs(direction.sum()) <= 1e-15, ch.matrix
             if ref > 1e-20:
                 v = [mpmath.mpf(float(x)) for x in direction]
                 assert abs(_mp_quotient(v, m, a) - ref) <= 1e-13 * ref, ch.matrix
