@@ -329,9 +329,9 @@ def _random_channel(q, seed):
     return make_channel(np.random.default_rng(seed).dirichlet(np.ones(q), size=q))
 
 
-def _scipy_and_batched(ch):
-    """scipy's Nelder-Mead from each start of the multistart search, one
-    point per call, with the objective and starts of compute_c."""
+def _scipy_per_start(ch):
+    """compute_c's objective and starts, and scipy's Nelder-Mead result
+    from each start, evaluating one point per call."""
     f = _softmax_objective(_ratio_rows(ch, near_center_limit(ch)))
     X0 = _starts(ch.q, ch.stationary, CROSS_CFG)
     ref = [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
@@ -355,7 +355,7 @@ def test_batched_nelder_mead_matches_scipy_bitwise(name):
     # At q = 3 the objective rounds each row alike in any batch, so every
     # start must follow scipy's path bit for bit, and the batch must return
     # the first start of least value.
-    f, X0, ref = _scipy_and_batched(CROSS_Q3[name]())
+    f, X0, ref = _scipy_per_start(CROSS_Q3[name]())
     for x0, r in zip(X0, ref):
         one = minimize(f, x0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
         assert one.x.tobytes() == r.x.tobytes()
@@ -373,6 +373,6 @@ def test_batched_nelder_mead_matches_scipy_bitwise(name):
 def test_batched_nelder_mead_reaches_scipy_best(q):
     # At q >= 4 a one-row product rounds differently from the same row in a
     # block, so paths may part; the best value must not fall behind scipy's.
-    f, X0, ref = _scipy_and_batched(_random_channel(q, 70 + q))
+    f, X0, ref = _scipy_per_start(_random_channel(q, 70 + q))
     batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
     assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
