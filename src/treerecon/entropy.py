@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rel_entr
+
+
+def rel_entr(p, q) -> np.ndarray:
+    """Termwise p log(p / q): 0 where p = 0, +inf where q = 0 < p."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p == 0.0, 0.0, np.where(q == 0.0, np.inf, p * np.log(p / q)))
 
 
 def relative_entropy(p, q) -> float:
@@ -29,19 +35,10 @@ def symmetrized_entropy(p, alpha) -> float:
     """L(p) = sum_i (p_i - alpha_i) log(p_i / alpha_i); may be +inf, never raises."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    if np.any((p == 0.0) & (a > 0.0)) or np.any((a == 0.0) & (p > 0.0)):
+    if np.any((p == 0.0) != (a == 0.0)):
         return math.inf
-    m = (p > 0.0) & (a > 0.0)
-    pm = p[m]
-    am = a[m]
-    d = pm - am
-    r = d / am
-    small = np.abs(r) < 0.5
-    out = np.empty_like(d)
-    out[small] = d[small] * np.log1p(r[small])
-    big = ~small
-    out[big] = d[big] * (np.log(pm[big]) - np.log(am[big]))
-    return float(out.sum())
+    m = a > 0.0
+    return float(symmetrized_entropy_rows(p[None, m], a[m])[0])
 
 
 def symmetrized_entropy_rows(P: np.ndarray, alpha: np.ndarray) -> np.ndarray:

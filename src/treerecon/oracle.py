@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .channels import Channel, binary_channel, make_channel
-from .entropy import symmetrized_entropy_rows
+from .entropy import rel_entr, symmetrized_entropy_rows
 from .errors import EnumerationTooLarge, NumericalUnderflow, TreeError
 from .treesim import SampledTree, _one_hot, _upward, tree_from_level_counts
 from .variational import OptimizerConfig, compute_c

@@ -14,8 +14,10 @@ reported constant is max(near-center limit, best evaluated ratio).
 Each constant has one objective F, a rows function mapping an (S, q) array
 of beliefs to S values, guard zone included, and one search, _maximize.
 For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
-100,001 are raised to 100,001) and refines the best local maxima on single
-rows; for q >= 3 it runs multistart Nelder-Mead in softmax coordinates.
+100,001 are raised to 100,001), refines the brackets of its best local maxima
+together (minimize_scalar; iterations counts its steps, evaluations the grid
+points plus one per bracket and step); for q >= 3 it runs multistart
+Nelder-Mead in softmax coordinates.
 minimize advances all starts together as one (starts, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
 start.  Start k draws its randomness from a stream seeded by (seed, k), and
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.optimize import minimize_scalar
 
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
 from .entropy import symmetrized_entropy, symmetrized_entropy_rows
@@ -38,6 +39,7 @@ from .errors import BadDimension, CenterSingularity, NoConvergence
 CENTER_ATOL = 1e-12
 GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
 MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
+REFINE_STEPS = 4  # parabolic steps of the q=2 refinement
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """One batched Nelder-Mead search: the point and value of the first row
-    of least value, iterations and objective rows summed over all rows,
-    whether any row converged, and how many rows did not."""
+    """One batched search: the point and value of the first row of least
+    value, iterations (steps for minimize_scalar) and objective rows summed
+    over all rows, whether any row converged, and how many rows did not."""
     x: np.ndarray
     fun: float
     nit: int
@@ -240,6 +242,32 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
                         failed=int(S - converged.sum()))
 
 
+def minimize_scalar(f, x, fx, lo, hi, steps: int = REFINE_STEPS) -> SearchResult:
+    """Successive parabolic interpolation on every bracket [lo, hi] at once.
+
+    Row k of x holds three increasing points and fx their values under f,
+    which maps n points to n values.  A step evaluates the vertex of
+    every row's parabola, clipped to its bracket (the middle point if the
+    three are collinear), in one f call, and keeps the best of the four
+    points with its two neighbours, so no row's best value gets worse.
+    """
+    x, fx = np.array(x, dtype=float), np.array(fx, dtype=float)
+    for _ in range(steps):
+        (a, b, c), (fa, fb, fc) = x.T, fx.T
+        num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
+        den = 2.0 * ((b - a) * (fb - fc) - (b - c) * (fb - fa))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = np.where(den != 0.0, np.clip(b - num / den, lo, hi), b)
+        xs, fs = np.c_[x, u], np.c_[fx, f(u)]
+        order = np.argsort(xs, axis=1, kind="stable")
+        xs, fs = np.take_along_axis(xs, order, 1), np.take_along_axis(fs, order, 1)
+        keep = np.clip(np.argmin(fs, axis=1), 1, 2)[:, None] + np.arange(-1, 2)
+        x, fx = np.take_along_axis(xs, keep, 1), np.take_along_axis(fs, keep, 1)
+    row, col = np.unravel_index(np.argmin(fx), fx.shape)
+    return SearchResult(x=x[row, col:col + 1].copy(), fun=float(fx[row, col]), nit=steps,
+                        nfev=steps * len(x), success=True, failed=0)
+
+
 def _softmax_objective(F):
     """-F in softmax coordinates: row x of X stands for softmax([x, 0])."""
     def f(X: np.ndarray) -> np.ndarray:
@@ -269,8 +297,8 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
 def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     """Best found (value, point, stats) of the rows objective F over the
     q-simplex, where stats holds the search's MethodTrace fields.  The q = 2
-    grid refines its best 8 local maxima and its maximum, and counts
-    refinement evaluations as iterations; q >= 3 runs all starts in one
+    grid refines its best 8 local maxima and its maximum in one batched
+    search, and counts its steps as iterations; q >= 3 runs all starts in one
     batched Nelder-Mead, whose starts also perturb ``center``, then polishes
     the winner.  Fewer than one start or iteration is a ValueError for
     every q.
@@ -286,22 +314,17 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
         interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
         order = np.argsort(r[interior], kind="stable")
         top = int(np.argmax(r))
-        cand = set(int(i) for i in interior[order][-8:]) | {top}
+        cand = np.union1d(interior[order][-8:], top)
+        # grid triples; a candidate at an end of the grid keeps a one-sided bracket
+        j = np.clip(cand, 1, n_points - 2)[:, None] + np.arange(-1, 2)
+        lo, hi = t[np.maximum(cand - 1, 0)], t[np.minimum(cand + 1, n_points - 1)]
+        res = minimize_scalar(lambda u: -F(np.stack([u, 1.0 - u], axis=1)),
+                              t[j], -r[j], lo, hi)
         best_v, best_t = float(r[top]), float(t[top])
-        nfev = 0
-        for i in sorted(cand):
-            lo = float(t[max(i - 1, 0)])
-            hi = float(t[min(i + 1, n_points - 1)])
-            res = minimize_scalar(
-                lambda tt: -F(np.array([[tt, 1.0 - tt]]))[0], bounds=(lo, hi),
-                method="bounded", options={"xatol": 1e-13}
-            )
-            nfev += int(res.nfev)
-            v = -float(res.fun)
-            if v > best_v:
-                best_v, best_t = v, float(res.x)
+        if -res.fun > best_v:
+            best_v, best_t = -res.fun, float(res.x[0])
         stats = dict(method="grid-1d", starts=0, grid_points=n_points,
-                     iterations=nfev, evaluations=n_points + nfev, failed_starts=0)
+                     iterations=res.nit, evaluations=n_points + res.nfev, failed_starts=0)
         return best_v, np.array([best_t, 1.0 - best_t]), stats
 
     f = _softmax_objective(F)

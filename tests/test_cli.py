@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -7,6 +10,18 @@ import pytest
 from treerecon.variational import MIN_GRID_POINTS
 
 QUICK = ["--starts", "8", "--grid-points", "50001"]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    import treerecon
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treerecon.__file__)))
+    code = ("import sys, treerecon.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_c_of_m_table_format(run_cli):
@@ -29,7 +44,8 @@ def test_c_of_m_json_format(run_cli):
     assert report["near_center_is_max"] is True
     assert report["seed"] == 5
     assert report["method"] == "grid-1d"
-    # the refinement's evaluations count as iterations, after the grid's
+    # the refinement's steps count as iterations; each step evaluates one
+    # point per bracket after the grid, and this grid has one bracket
     assert report["evaluations"] == MIN_GRID_POINTS + report["iterations"]
     assert report["failed_starts"] == 0
     assert len(report["argmax"]) == 2

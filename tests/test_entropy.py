@@ -118,3 +118,42 @@ def test_rows_boundary_and_center():
     assert rows[0] == 0.0
     assert rows[1] == math.inf
     assert abs(rows[2] - symmetrized_entropy([0.2, 0.8], a)) <= 1e-15
+
+
+def _two_branch_reference(p, a):
+    """The scalar L as computed before it shared the rows formula: masked
+    small/large branches over the entries where both p and alpha are positive."""
+    if np.any((p == 0.0) & (a > 0.0)) or np.any((a == 0.0) & (p > 0.0)):
+        return math.inf
+    m = (p > 0.0) & (a > 0.0)
+    d = p[m] - a[m]
+    r = d / a[m]
+    small = np.abs(r) < 0.5
+    out = np.empty_like(d)
+    out[small] = d[small] * np.log1p(r[small])
+    out[~small] = d[~small] * (np.log(p[m][~small]) - np.log(a[m][~small]))
+    return float(out.sum())
+
+
+def test_scalar_matches_two_branch_formula_bitwise():
+    # 15,000 inputs, q = 2..16: zeros in p, alpha or both, and points from
+    # 1e-12 to O(1) away from alpha, across the small/large branch switch
+    rng = np.random.default_rng(2024)
+    n = 1000
+    for q in range(2, 17):
+        A = rng.dirichlet(np.ones(q), size=n)
+        V = rng.standard_normal((n, q))
+        V -= V.mean(axis=1, keepdims=True)
+        V /= np.abs(V).max(axis=1, keepdims=True)
+        P = np.abs(A + 10.0 ** rng.uniform(-12, 0, size=(n, 1)) * V)
+        P /= P.sum(axis=1, keepdims=True)
+        P[::5] = rng.dirichlet(np.ones(q), size=len(P[::5]))
+        zero = rng.integers(q, size=n)
+        rows = np.arange(n)
+        P[rows[2::5], zero[2::5]] = 0.0
+        A[rows[3::5], zero[3::5]] = 0.0
+        P[rows[4::5], zero[4::5]] = A[rows[4::5], zero[4::5]] = 0.0
+        for p, a in zip(P, A):
+            want = _two_branch_reference(p, a)
+            got = symmetrized_entropy(p, a)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, a)

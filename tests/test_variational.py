@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from treerecon import (
     BadDimension,
@@ -329,24 +330,30 @@ def _random_channel(q, seed):
     return make_channel(np.random.default_rng(seed).dirichlet(np.ones(q), size=q))
 
 
-def _scipy_per_start(ch):
-    """compute_c's objective and starts, and scipy's Nelder-Mead result
-    from each start, evaluating one point per call."""
+def _channel_case(ch):
+    """compute_c's objective and starts for channel ch."""
     f = _softmax_objective(_ratio_rows(ch, near_center_limit(ch)))
-    X0 = _starts(ch.q, ch.stationary, CROSS_CFG)
-    ref = [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
-                          options={"maxiter": CROSS_CFG.max_iters,
-                                   "fatol": CROSS_CFG.tol, "xatol": 1e-10})
-           for x0 in X0]
-    return f, X0, ref
+    return f, _starts(ch.q, ch.stationary, CROSS_CFG)
+
+
+def _scipy_per_start(f, X0):
+    """scipy's Nelder-Mead result from each start, evaluating one point per call."""
+    return [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
+                           options={"maxiter": CROSS_CFG.max_iters,
+                                    "fatol": CROSS_CFG.tol, "xatol": 1e-10})
+            for x0 in X0]
 
 
 CROSS_Q3 = {
-    "random-0": lambda: _random_channel(3, 60),
-    "random-1": lambda: _random_channel(3, 61),
-    "random-2": lambda: _random_channel(3, 62),
-    "potts-beta1": lambda: potts_channel(3, 1.0),
-    "potts-beta0": lambda: potts_channel(3, 0.0),  # flat: ties everywhere
+    "random-0": lambda: _channel_case(_random_channel(3, 60)),
+    "random-1": lambda: _channel_case(_random_channel(3, 61)),
+    "random-2": lambda: _channel_case(_random_channel(3, 62)),
+    "potts-beta1": lambda: _channel_case(potts_channel(3, 1.0)),
+    "potts-beta0": lambda: _channel_case(potts_channel(3, 0.0)),  # flat: ties everywhere
+    # a plateau at -1: where reflection and expansion both land on it they
+    # tie, and scipy keeps the reflection
+    "plateau": lambda: (lambda X: -np.minimum(X.sum(axis=1), 1.0),
+                        np.array([[0.1, 0.2], [0.3, -0.2], [0.05, 0.05]])),
 }
 
 
@@ -355,7 +362,8 @@ def test_batched_nelder_mead_matches_scipy_bitwise(name):
     # At q = 3 the objective rounds each row alike in any batch, so every
     # start must follow scipy's path bit for bit, and the batch must return
     # the first start of least value.
-    f, X0, ref = _scipy_per_start(CROSS_Q3[name]())
+    f, X0 = CROSS_Q3[name]()
+    ref = _scipy_per_start(f, X0)
     for x0, r in zip(X0, ref):
         one = minimize(f, x0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
         assert one.x.tobytes() == r.x.tobytes()
@@ -373,6 +381,71 @@ def test_batched_nelder_mead_matches_scipy_bitwise(name):
 def test_batched_nelder_mead_reaches_scipy_best(q):
     # At q >= 4 a one-row product rounds differently from the same row in a
     # block, so paths may part; the best value must not fall behind scipy's.
-    f, X0, ref = _scipy_per_start(_random_channel(q, 70 + q))
+    f, X0 = _channel_case(_random_channel(q, 70 + q))
+    ref = _scipy_per_start(f, X0)
     batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
     assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
+
+
+def _scipy_refined_c(ch, cfg):
+    """c of a two-state channel with its q = 2 grid refined per candidate by
+    scipy's bounded search: the reference for the batched refinement."""
+    nc = near_center_limit(ch)
+    F = _ratio_rows(ch, nc)
+    n = max(cfg.grid_points, MIN_GRID_POINTS)
+    t = np.linspace(1e-9, 1.0 - 1e-9, n)
+    r = F(np.stack([t, 1.0 - t], axis=1))
+    interior = np.flatnonzero((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])) + 1
+    cand = {*interior[np.argsort(r[interior], kind="stable")][-8:].tolist(), int(np.argmax(r))}
+    best = float(r.max())
+    for i in cand:
+        res = scipy_minimize_scalar(lambda x: -F(np.array([[x, 1.0 - x]]))[0],
+                                    bounds=(t[max(i - 1, 0)], t[min(i + 1, n - 1)]),
+                                    method="bounded", options={"xatol": 1e-13})
+        best = max(best, -res.fun)
+    return max(nc, best)
+
+
+def _q2_panel():
+    """(delta1, delta2, rel_tol): the table1 rows at delta1 = 0.3, random
+    two-state channels, and channels with a delta down to 1e-5."""
+    rng = np.random.default_rng(17)
+    panel = [(0.3, d2, 1e-14) for d2 in (0.1, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    panel += [(*rng.uniform(0.05, 0.95, 2).round(3).tolist(), 1e-12) for _ in range(6)]
+    for e in (1e-5, 1e-4, 1e-3):
+        d2 = rng.uniform(0.05, 0.95, 2).round(3).tolist()
+        panel += [(e, d2[0], 1e-11), (1.0 - e, d2[1], 1e-11)]
+    return panel
+
+
+@pytest.mark.parametrize("d1, d2, tol", _q2_panel())
+def test_q2_refinement_matches_scipy_bounded_search(d1, d2, tol):
+    ch = binary_channel(d1, d2)
+    cfg = OptimizerConfig(grid_points=MIN_GRID_POINTS)
+    res = compute_c(ch, cfg)
+    ref = _scipy_refined_c(ch, cfg)
+    if res.trace.near_center_is_max:
+        # both searches then read the near-center limit up to the flag's slack
+        assert abs(res.value - ref) <= 1e-9
+    else:
+        assert abs(res.value - ref) <= tol * ref
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 20.0])
+def test_q2_ising_reaches_the_limit(beta):
+    res = compute_c(potts_channel(2, beta))
+    want = math.tanh(beta) ** 2
+    assert res.trace.near_center_is_max
+    assert abs(res.value - want) <= 1e-10 * want
+
+
+def test_q2_symmetric_binary_reaches_the_limit():
+    # binary(d, 1 - d) is Ising with tanh(beta) = 1 - 2d.  Near alpha the
+    # rounding of p M_rev leaves F up to ~2.4e-9 relative above the limit on
+    # this grid, so the value is held to 1e-8; the flag must never flip.
+    cfg = OptimizerConfig(grid_points=MIN_GRID_POINTS)
+    for d in np.arange(0.02, 0.5, 0.02).round(2):
+        res = compute_c(binary_channel(d, 1.0 - d), cfg)
+        want = (1.0 - 2.0 * d) ** 2
+        assert res.trace.near_center_is_max, d
+        assert abs(res.value - want) <= 1e-8 * want, d
