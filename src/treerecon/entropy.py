@@ -19,7 +19,7 @@ import numpy as np
 
 def rel_entr(p, q) -> np.ndarray:
     """Termwise p log(p / q): 0 where p = 0, +inf where q = 0 < p."""
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(p == 0.0, 0.0, np.where(q == 0.0, np.inf, p * np.log(p / q)))
 

@@ -242,17 +242,17 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
                         failed=int(S - converged.sum()))
 
 
-def minimize_scalar(f, x, fx, lo, hi, steps: int = REFINE_STEPS) -> SearchResult:
-    """Successive parabolic interpolation on every bracket [lo, hi] at once.
+def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:
+    """REFINE_STEPS steps of successive parabolic interpolation on all rows at once.
 
-    Row k of x holds three increasing points and fx their values under f,
-    which maps n points to n values.  A step evaluates the vertex of
-    every row's parabola, clipped to its bracket (the middle point if the
-    three are collinear), in one f call, and keeps the best of the four
-    points with its two neighbours, so no row's best value gets worse.
+    Row k of x holds three increasing points, fx their values under f, which
+    maps n points to n values, and [lo[k], hi[k]] its bracket.  A step
+    evaluates every row's parabola vertex, clipped to the bracket (the middle
+    point if the three are collinear), in one f call, and keeps the best of
+    the four points with its two neighbours: no row's best value gets worse.
     """
     x, fx = np.array(x, dtype=float), np.array(fx, dtype=float)
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         (a, b, c), (fa, fb, fc) = x.T, fx.T
         num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
         den = 2.0 * ((b - a) * (fb - fc) - (b - c) * (fb - fa))
@@ -264,8 +264,8 @@ def minimize_scalar(f, x, fx, lo, hi, steps: int = REFINE_STEPS) -> SearchResult
         keep = np.clip(np.argmin(fs, axis=1), 1, 2)[:, None] + np.arange(-1, 2)
         x, fx = np.take_along_axis(xs, keep, 1), np.take_along_axis(fs, keep, 1)
     row, col = np.unravel_index(np.argmin(fx), fx.shape)
-    return SearchResult(x=x[row, col:col + 1].copy(), fun=float(fx[row, col]), nit=steps,
-                        nfev=steps * len(x), success=True, failed=0)
+    return SearchResult(x=x[row, col:col + 1].copy(), fun=float(fx[row, col]),
+                        nit=REFINE_STEPS, nfev=REFINE_STEPS * len(x), success=True, failed=0)
 
 
 def _softmax_objective(F):

@@ -27,8 +27,10 @@ from treerecon.variational import (
     _near_center,
     _ratio_rows,
     _softmax_objective,
+    REFINE_STEPS,
     _starts,
     minimize,
+    minimize_scalar,
 )
 
 
@@ -385,6 +387,20 @@ def test_batched_nelder_mead_reaches_scipy_best(q):
     ref = _scipy_per_start(f, X0)
     batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
     assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
+
+
+def test_minimize_scalar_on_a_parabola():
+    # one step lands on a parabola's vertex; a vertex outside the bracket is
+    # clipped to the bracket's end
+    def f(u):
+        return (u - 0.3) ** 2
+
+    x = np.array([[0.1, 0.2, 0.4], [0.5, 0.6, 0.7]])
+    res = minimize_scalar(f, x, f(x), np.array([0.1, 0.5]), np.array([0.4, 0.6]))
+    assert abs(res.x[0] - 0.3) <= 1e-15 and res.fun <= 1e-30
+    assert (res.nit, res.nfev) == (REFINE_STEPS, 2 * REFINE_STEPS)
+    res = minimize_scalar(f, x[1:], f(x[1:]), np.array([0.5]), np.array([0.6]))
+    assert res.x[0] == 0.5
 
 
 def _scipy_refined_c(ch, cfg):
