@@ -251,18 +251,19 @@ def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:
     point if the three are collinear), in one f call, and keeps the best of
     the four points with its two neighbours: no row's best value gets worse.
     """
-    x, fx = np.array(x, dtype=float), np.array(fx, dtype=float)
+    x, fx = np.asarray(x, dtype=float), np.asarray(fx, dtype=float)
+    rows = np.arange(len(x))[:, None]
     for _ in range(REFINE_STEPS):
         (a, b, c), (fa, fb, fc) = x.T, fx.T
         num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
         den = 2.0 * ((b - a) * (fb - fc) - (b - c) * (fb - fa))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = np.where(den != 0.0, np.clip(b - num / den, lo, hi), b)
-        xs, fs = np.c_[x, u], np.c_[fx, f(u)]
+        xs, fs = np.concatenate([x, u[:, None]], 1), np.concatenate([fx, f(u)[:, None]], 1)
         order = np.argsort(xs, axis=1, kind="stable")
-        xs, fs = np.take_along_axis(xs, order, 1), np.take_along_axis(fs, order, 1)
+        xs, fs = xs[rows, order], fs[rows, order]
         keep = np.clip(np.argmin(fs, axis=1), 1, 2)[:, None] + np.arange(-1, 2)
-        x, fx = np.take_along_axis(xs, keep, 1), np.take_along_axis(fs, keep, 1)
+        x, fx = xs[rows, keep], fs[rows, keep]
     row, col = np.unravel_index(np.argmin(fx), fx.shape)
     return SearchResult(x=x[row, col:col + 1].copy(), fun=float(fx[row, col]),
                         nit=REFINE_STEPS, nfev=REFINE_STEPS * len(x), success=True, failed=0)
