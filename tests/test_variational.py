@@ -24,10 +24,10 @@ from treerecon import (
 from treerecon.variational import (
     GUARD_L1,
     MIN_GRID_POINTS,
+    REFINE_STEPS,
     _near_center,
     _ratio_rows,
     _softmax_objective,
-    REFINE_STEPS,
     _starts,
     minimize,
     minimize_scalar,
