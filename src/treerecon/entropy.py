@@ -8,6 +8,16 @@ p puts mass where q has none.  The symmetrized form
 is computed termwise as d * log1p(d / alpha) when |d| is small relative to
 alpha, which keeps full relative accuracy near p = alpha where both factors
 of each term vanish.
+
+The rows kernel works states-major: it copies each block of _CHUNK rows of
+an (S, q) array once to (q, rows) and then runs every elementwise step and
+the sum over states along rows.  In the (S, q) layout each numpy call runs
+an inner loop only q entries long, which at q = 2 makes a call 5-20x slower
+than the same call in (q, S) order; a block of _CHUNK rows keeps the
+temporaries small enough to stay in cache and to be reused instead of
+page-faulted in afresh.  The sum over states follows the order in which
+numpy's pairwise summation adds the q entries of a row, so the result is
+bit-identical to summing the (S, q) terms along axis 1.
 """
 
 from __future__ import annotations
@@ -15,6 +25,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# Rows per block of symmetrized_entropy_rows.
+_CHUNK = 16384
 
 
 def rel_entr(p, q) -> np.ndarray:
@@ -41,18 +54,60 @@ def symmetrized_entropy(p, alpha) -> float:
     return float(symmetrized_entropy_rows(p[None, m], a[m])[0])
 
 
+def pairwise_sum(X: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, bit for bit as np.sum(X, axis=0) when that
+    axis is contiguous: numpy's pairwise order over the n entries.
+
+    Below 8 entries numpy adds in sequence; up to 128 it keeps 8 running
+    sums, one per residue mod 8, adds them as a balanced tree and then the
+    remainder in sequence; above 128 it splits at n // 2 rounded down to a
+    multiple of 8.  The first entries are added to 0.0, as numpy starts
+    from that identity, which turns -0.0 into 0.0.
+    """
+    n = len(X)
+    if n == 0:
+        return np.zeros(X.shape[1:])
+    if n < 8:
+        out = X[0] + 0.0
+        for i in range(1, n):
+            out += X[i]
+        return out
+    if n <= 128:
+        acc = X[:8] + 0.0
+        full = n - n % 8
+        for i in range(8, full, 8):
+            acc += X[i:i + 8]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(full, n):
+            out += X[i]
+        return out
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(X[:half]) + pairwise_sum(X[half:])
+
+
 def symmetrized_entropy_rows(P: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Vectorized L over the rows of P, against a strictly positive alpha."""
-    a = np.asarray(alpha, dtype=float)[None, :]
+    """Vectorized L over the rows of P, against a strictly positive alpha.
+
+    A row with a zero entry gives +inf, through log 0 = -inf; entries of P
+    must not be negative.
+    """
     P = np.asarray(P, dtype=float)
-    d = P - a
-    r = d / a
-    small = np.abs(r) < 0.5
-    safe_r = np.where(small, r, 0.0)
-    safe_p = np.where(P > 0.0, P, 1.0)
-    terms = np.where(small, d * np.log1p(safe_r), d * (np.log(safe_p) - np.log(a)))
-    L = terms.sum(axis=1)
-    bad = (P == 0.0).any(axis=1)
-    if np.any(bad):
-        L = np.where(bad, np.inf, L)
+    a = np.asarray(alpha, dtype=float)[:, None]
+    log_a = np.log(a)
+    L = np.empty(len(P))
+    with np.errstate(divide="ignore"):
+        for s in range(0, len(P), _CHUNK):
+            B = P[s:s + _CHUNK].T.copy()
+            d = B - a
+            r = d / a
+            small = np.abs(r) < 0.5
+            # in place: r becomes d log1p(r), B becomes d (log p - log alpha)
+            np.log1p(r, out=r)
+            r *= d
+            np.log(B, out=B)
+            B -= log_a
+            B *= d
+            np.copyto(B, r, where=small)
+            L[s:s + _CHUNK] = pairwise_sum(B)
     return L

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import Channel, _normalize_exact, _readonly, as_belief
-from .entropy import symmetrized_entropy_rows
+from .entropy import pairwise_sum, symmetrized_entropy_rows
 from .errors import NumericalUnderflow, TreeError, TreeTooLarge
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -318,7 +318,7 @@ def _upward(tree: SampledTree, channel: Channel, leaf_block: np.ndarray,
         starts = tree.child_ptr[lv[k]:lv[k + 1]] - lv[k + 1]
         prods = np.multiply.reduceat(msgs, starts, axis=1)
         prods = prods * alpha
-        total = prods.sum(axis=-1)
+        total = pairwise_sum(np.moveaxis(prods, -1, 0))  # = prods.sum(axis=-1)
         if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
             raise NumericalUnderflow("belief product underflowed to zero")
         beliefs = prods / total[..., None]

@@ -311,7 +311,10 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     if q == 2:
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
-        r = F(np.stack([t, 1.0 - t], axis=1))
+        P = np.empty((n_points, 2))  # np.stack([t, 1 - t], axis=1), built in place
+        P[:, 0] = t
+        np.subtract(1.0, t, out=P[:, 1])
+        r = F(P)
         interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
         order = np.argsort(r[interior], kind="stable")
         top = int(np.argmax(r))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerecon import relative_entropy, symmetrized_entropy
-from treerecon.entropy import symmetrized_entropy_rows
+from treerecon.entropy import _CHUNK, pairwise_sum, symmetrized_entropy_rows
 
 RELAXED = settings(max_examples=60, deadline=None)
 
@@ -157,3 +159,82 @@ def test_scalar_matches_two_branch_formula_bitwise():
             want = _two_branch_reference(p, a)
             got = symmetrized_entropy(p, a)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, a)
+
+
+def _rows_reference(P, alpha):
+    """The rows formula as computed before the states-major kernel: every
+    step on the (S, q) array, zeros masked out and then set to +inf."""
+    a = np.asarray(alpha, dtype=float)[None, :]
+    P = np.asarray(P, dtype=float)
+    d = P - a
+    r = d / a
+    small = np.abs(r) < 0.5
+    safe_r = np.where(small, r, 0.0)
+    safe_p = np.where(P > 0.0, P, 1.0)
+    terms = np.where(small, d * np.log1p(safe_r), d * (np.log(safe_p) - np.log(a)))
+    L = terms.sum(axis=1)
+    bad = (P == 0.0).any(axis=1)
+    if np.any(bad):
+        L = np.where(bad, np.inf, L)
+    return L
+
+
+def _cross_check_rows(rng, q, n):
+    """n rows against a positive alpha: points 1e-16 to O(1) away from alpha
+    (a fifth within 1e-12), rows with one entry at alpha (1 +- 0.5) to a few
+    ulps, so that |r| straddles the branch switch, and rows with one, or all
+    but one, entries zero."""
+    a = 0.9 * rng.dirichlet(np.ones(q)) + 0.1 / q
+    V = rng.standard_normal((n, q))
+    V /= np.abs(V).max(axis=1, keepdims=True)
+    scale = 10.0 ** rng.uniform(-16, 0, size=(n, 1))
+    scale[::5] = 10.0 ** rng.uniform(-16, -12, size=(len(scale[::5]), 1))
+    P = np.abs(a + scale * a * V)
+    rows = np.arange(n)
+    col = rng.integers(q, size=n)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    ulps = rng.integers(-4, 5, size=n) * np.finfo(float).eps
+    P[rows[1::7], col[1::7]] = (a[col] * (1.0 + sign * (0.5 + ulps)))[1::7]
+    P[rows[2::7], col[2::7]] = 0.0
+    P[rows[3::97]] = 0.0
+    P[rows[3::97], col[3::97]] = 1.0
+    return P, a
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 9, 16, 17, 129, 300])
+def test_rows_match_row_major_reference_bitwise(q):
+    # _CHUNK + 3 rows cross a block boundary
+    P, a = _cross_check_rows(np.random.default_rng([7, q]), q, _CHUNK + 3)
+    r = np.abs(P - a) / a
+    assert (r < 0.5).any() and (r >= 0.5).any() and (P == 0.0).any()
+    got = symmetrized_entropy_rows(P, a)
+    assert got.tobytes() == _rows_reference(P, a).tobytes()
+
+
+def test_pairwise_sum_matches_numpy_bitwise():
+    # values over 16 decades of both signs, so that the order of the adds
+    # shows in the last bits
+    rng = np.random.default_rng(11)
+    for q in range(1, 301):
+        X = rng.standard_normal((3, 4, q)) * 10.0 ** rng.uniform(-8, 8, size=(3, 4, q))
+        got = pairwise_sum(np.moveaxis(X, -1, 0))
+        assert got.tobytes() == X.sum(axis=-1).tobytes(), q
+    for q in (3, 9, 200):  # numpy adds to 0.0, so -0.0 entries sum to 0.0
+        assert pairwise_sum(np.full((q, 2), -0.0)).tobytes() == np.zeros(2).tobytes()
+
+
+def test_rows_peak_memory():
+    # one call on 10**6 two-state rows (an 8 MB result) holds at most a few
+    # blocks of temporaries besides it; the row-major formula held several
+    # 16 MB temporaries at once (114 MB; the states-major kernel: 9.1 MB)
+    rng = np.random.default_rng(5)
+    t = rng.random(10**6)
+    P = np.stack([t, 1.0 - t], axis=1)
+    a = np.array([0.3, 0.7])
+    tracemalloc.start()
+    try:
+        symmetrized_entropy_rows(P, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak
