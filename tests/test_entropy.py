@@ -221,6 +221,8 @@ def test_pairwise_sum_matches_numpy_bitwise():
         assert got.tobytes() == X.sum(axis=-1).tobytes(), q
     for q in (3, 9, 200):  # numpy adds to 0.0, so -0.0 entries sum to 0.0
         assert pairwise_sum(np.full((q, 2), -0.0)).tobytes() == np.zeros(2).tobytes()
+    assert pairwise_sum(np.empty((0, 2))).tobytes() == np.zeros(2).tobytes()
+    assert symmetrized_entropy([0.0, 0.0], [0.0, 0.0]) == 0.0  # no state left
 
 
 def test_rows_peak_memory():
