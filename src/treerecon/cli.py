@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -255,7 +254,6 @@ def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("optimizer")
     g.add_argument("--starts", type=int, default=64)
     g.add_argument("--max-iters", type=int, default=4000)
-    g.add_argument("--tol", type=float, default=1e-10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--grid-points", type=int, default=200_000)
 
@@ -264,10 +262,9 @@ def _add_common_args(p: argparse.ArgumentParser, func, view: View, *,
                      default_format: str) -> None:
     formats = ("json", "csv", "table") if view.columns else ("json", "table")
     p.add_argument("--format", choices=formats, default=default_format)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="Monte Carlo worker threads of simulate; 0 = one per "
-                        "CPU (default: TREE_RECON_THREADS or 1); other "
-                        "commands validate it and run serially")
+                        "CPU; other commands validate it and run serially")
     if view.schema is not None:
         p.add_argument("--from-file", metavar="PATH",
                        help="re-render a report this command printed")
@@ -296,20 +293,7 @@ def _resolve_channel(args) -> Channel:
 
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(starts=args.starts, max_iters=args.max_iters,
-                           tol=args.tol, seed=args.seed,
-                           grid_points=args.grid_points)
-
-
-def _threads(args) -> int | None:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("TREE_RECON_THREADS")
-        if env is None or env.strip() == "":
-            return 1
-        value = int(env)
-    if value < 0:
-        raise ValueError(f"--threads must be >= 0, got {value}")
-    return None if value == 0 else value
+                           seed=args.seed, grid_points=args.grid_points)
 
 
 def _parse_tree(text: str, depth: int) -> TreeSpec:
@@ -525,7 +509,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        args.threads = _threads(args)
+        if args.threads < 0:
+            raise ValueError(f"--threads must be >= 0, got {args.threads}")
         path = getattr(args, "from_file", None)
         report = _load(path, args.command, args.view) if path else args.func(args)
         print(render(report, args.view, args.format))

@@ -58,7 +58,6 @@ class RecursionCheck:
     abs_diff: float
     pointwise_violations: int
     max_pointwise_gap: float
-    pointwise_tol: float = POINTWISE_TOL
 
 
 def _subtree_nodes(tree: SampledTree, v: int) -> np.ndarray:
@@ -135,13 +134,13 @@ def enumerate_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0,
     return _law_from_cond(tree, node, cond, channel.stationary)
 
 
-def _laws_with_children(tree: SampledTree, channel: Channel, node: int,
-                        budget: int) -> list[BoundaryLaw]:
+def _laws_with_children(tree: SampledTree, channel: Channel,
+                        node: int) -> list[BoundaryLaw]:
     """Boundary laws of ``node`` and then of each of its children, from one fold."""
     kids = [int(w) for w in tree.children(int(node))]
     if not kids:
         raise TreeError(f"node {node} has no children")
-    conds = _fold_law(tree, channel, node, budget)
+    conds = _fold_law(tree, channel, node, DEFAULT_BUDGET)
     return [_law_from_cond(tree, u, conds[u], channel.stationary) for u in [int(node), *kids]]
 
 
@@ -174,12 +173,11 @@ def brute_force_boundary_laws(tree: SampledTree, channel: Channel, node: int = 0
     return _law_from_cond(tree, node, cond, channel.stationary)
 
 
-def enumeration_cross_check(tree: SampledTree, channel: Channel, node: int = 0,
-                            budget: int = DEFAULT_BUDGET,
-                            joint_budget: int = JOINT_BUDGET) -> float:
+def enumeration_cross_check(tree: SampledTree, channel: Channel,
+                            node: int = 0) -> float:
     """Largest discrepancy between the two enumeration algorithms."""
-    a = enumerate_boundary_laws(tree, channel, node, budget)
-    b = brute_force_boundary_laws(tree, channel, node, budget, joint_budget)
+    a = enumerate_boundary_laws(tree, channel, node)
+    b = brute_force_boundary_laws(tree, channel, node)
     return float(max(
         np.max(np.abs(a.cond - b.cond)),
         np.max(np.abs(a.free - b.free)),
@@ -187,18 +185,16 @@ def enumeration_cross_check(tree: SampledTree, channel: Channel, node: int = 0,
     ))
 
 
-def check_propagation(tree: SampledTree, channel: Channel, node: int = 0,
-                      budget: int = DEFAULT_BUDGET,
-                      joint_budget: int = JOINT_BUDGET) -> float:
+def check_propagation(tree: SampledTree, channel: Channel, node: int = 0) -> float:
     """Gap in the one-step factorization of the boundary law: the law at a
     node must equal the product over children of the channel applied to each
     child's law.  Both sides come from independent joint enumerations."""
     kids = list(tree.children(int(node)))
     if not kids:
         raise TreeError(f"node {node} has no children")
-    law_v = brute_force_boundary_laws(tree, channel, node, budget, joint_budget)
+    law_v = brute_force_boundary_laws(tree, channel, node)
     acc = _product_step(channel.matrix, [
-        brute_force_boundary_laws(tree, channel, w, budget, joint_budget).cond for w in kids])
+        brute_force_boundary_laws(tree, channel, w).cond for w in kids])
     return float(np.max(np.abs(acc - law_v.cond)))
 
 
@@ -207,12 +203,11 @@ def _expected_root_entropy(law: BoundaryLaw, channel: Channel) -> float:
     return math.fsum((law.free * rows).tolist())
 
 
-def check_lemma1(tree: SampledTree, channel: Channel, node: int = 0,
-                 budget: int = DEFAULT_BUDGET) -> float:
+def check_lemma1(tree: SampledTree, channel: Channel, node: int = 0) -> float:
     """Gap in the pair identity: the expected symmetrized entropy of the
     node's posterior equals the stationary-weighted sum of relative entropies
     between its conditioned boundary laws."""
-    law = enumerate_boundary_laws(tree, channel, node, budget)
+    law = enumerate_boundary_laws(tree, channel, node)
     lhs = _expected_root_entropy(law, channel)
     alpha = channel.stationary
     terms = []
@@ -224,15 +219,14 @@ def check_lemma1(tree: SampledTree, channel: Channel, node: int = 0,
     return abs(lhs - rhs)
 
 
-def check_main_recursion(tree: SampledTree, channel: Channel, node: int = 0,
-                         budget: int = DEFAULT_BUDGET,
-                         pointwise_tol: float = POINTWISE_TOL) -> RecursionCheck:
+def check_main_recursion(tree: SampledTree, channel: Channel,
+                         node: int = 0) -> RecursionCheck:
     """The expected symmetrized entropy at a node equals the sum over its
     children of the expected entropy of the child posterior pushed through
     the reversed channel.  Also counts boundary configurations where the
     identity read pointwise (no expectation) fails."""
     alpha = channel.stationary
-    law_v, *child_laws = _laws_with_children(tree, channel, node, budget)
+    law_v, *child_laws = _laws_with_children(tree, channel, node)
     v_rows = symmetrized_entropy_rows(law_v.posterior, alpha)
     lhs = math.fsum((law_v.free * v_rows).tolist())
 
@@ -248,19 +242,17 @@ def check_main_recursion(tree: SampledTree, channel: Channel, node: int = 0,
         lhs=lhs,
         rhs=rhs,
         abs_diff=abs(lhs - rhs),
-        pointwise_violations=int(np.sum(gaps > pointwise_tol)),
+        pointwise_violations=int(np.sum(gaps > POINTWISE_TOL)),
         max_pointwise_gap=float(gaps.max()),
-        pointwise_tol=float(pointwise_tol),
     )
 
 
 def check_lyapunov_bound(tree: SampledTree, channel: Channel, node: int = 0,
                          c_value: float | None = None,
-                         config: OptimizerConfig | None = None,
-                         budget: int = DEFAULT_BUDGET) -> float:
+                         config: OptimizerConfig | None = None) -> float:
     """Margin of the contraction step: c * (sum of child expected entropies)
     minus the node's expected entropy.  Nonnegative up to roundoff."""
-    law_v, *child_laws = _laws_with_children(tree, channel, node, budget)
+    law_v, *child_laws = _laws_with_children(tree, channel, node)
     if c_value is None:
         c_value = compute_c(channel, config).value
     child_sum = math.fsum(_expected_root_entropy(law, channel) for law in child_laws)
@@ -286,7 +278,7 @@ class SuiteInstance:
 
 
 def _random_small_tree(rng: np.random.Generator, depth: int,
-                       max_leaves: int = 6, max_nodes: int = 11) -> SampledTree:
+                       max_nodes: int = 11) -> SampledTree:
     for _ in range(200):
         counts = []
         width, total, feasible = 1, 1, True
@@ -298,7 +290,7 @@ def _random_small_tree(rng: np.random.Generator, depth: int,
                 feasible = False
                 break
             counts.append(c)
-        if feasible and width <= max_leaves:
+        if feasible and width <= 6:
             return tree_from_level_counts(counts)
     raise TreeError("failed to draw a tree within the size limits")
 

@@ -108,11 +108,6 @@ class TreeSpec:
             return float(self.degree)
         return float(sum((k + 1) * p for k, p in enumerate(self.pmf)))
 
-    def describe(self) -> str:
-        if self.kind == "regular":
-            return f"regular(d={self.degree})"
-        return "gw(pmf=[" + ", ".join(repr(p) for p in self.pmf) + "])"
-
 
 @dataclass(frozen=True)
 class SampledTree:
@@ -375,10 +370,10 @@ def _chunk_size(nodes_per_sample: float) -> int:
 
 
 def _run_chunks(values_of, samples: int, seed: int, nodes_per_sample: float,
-                threads: int | None) -> tuple[float, float]:
+                threads: int) -> tuple[float, float]:
     """Mean and standard error of the values that values_of(rng, count)
     returns for count samples, chunk by chunk; chunk c draws from the stream
-    seeded by (seed, c)."""
+    seeded by (seed, c).  threads = 0 runs one worker per CPU."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     values = np.empty(samples)
@@ -389,7 +384,7 @@ def _run_chunks(values_of, samples: int, seed: int, nodes_per_sample: float,
         values[lo:hi] = values_of(np.random.default_rng([seed, c]), hi - lo)
 
     n_chunks = -(-samples // size)
-    n_workers = int(threads) if threads and threads > 0 else os.cpu_count() or 1
+    n_workers = threads or os.cpu_count() or 1
     if n_workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(work, range(n_chunks)))
@@ -406,7 +401,7 @@ def _run_chunks(values_of, samples: int, seed: int, nodes_per_sample: float,
 
 
 def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 0,
-                    *, mode: str = "annealed", threads: int | None = 1,
+                    *, mode: str = "annealed", threads: int = 1,
                     max_nodes: int = DEFAULT_MAX_NODES) -> RootEntropyEstimate:
     """Monte Carlo mean and standard error of the root's symmetrized entropy
     under random boundary conditions at the given depth.
@@ -439,7 +434,7 @@ def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 
 
 
 def mc_root_entropy_fixed_tree(tree: SampledTree, channel: Channel, samples: int,
-                               seed: int = 0, *, threads: int | None = 1
+                               seed: int = 0, *, threads: int = 1
                                ) -> RootEntropyEstimate:
     """Monte Carlo estimate on an explicitly given tree realization."""
     samples = int(samples)
@@ -455,7 +450,7 @@ def mc_root_entropy_fixed_tree(tree: SampledTree, channel: Channel, samples: int
 
 def depth_sweep(spec: TreeSpec, channel: Channel, depths: Sequence[int],
                 samples: int, seed: int = 0, *, mode: str = "annealed",
-                threads: int | None = 1,
+                threads: int = 1,
                 max_nodes: int = DEFAULT_MAX_NODES) -> list[RootEntropyEstimate]:
     """mc_root_entropy at each depth, same seed and sample budget."""
     return [

@@ -40,13 +40,13 @@ CENTER_ATOL = 1e-12
 GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
 MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
 REFINE_STEPS = 4  # parabolic steps of the q=2 refinement
+FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     starts: int = 64
     max_iters: int = 4000
-    tol: float = 1e-10
     seed: int = 0
     grid_points: int = 200_000
 
@@ -194,8 +194,8 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
     fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
     nfev = S * (N + 1)
     order = np.argsort(fsim, axis=1)
-    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-    fsim = np.take_along_axis(fsim, order, axis=1)
+    r = np.arange(S)[:, None]
+    sim, fsim = sim[r, order], fsim[r, order]
     nit = np.ones(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
     while True:
@@ -221,7 +221,8 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
         take_c = outside & (fc <= fr)
         take_cc = contract & ~outside & (fcc < fs[:, -1])
         shrink = contract & ~take_c & ~take_cc
-        pick = np.select([expand & (fe < fr), take_c, take_cc], [1, 2, 3], 0)
+        pick = np.where(expand & (fe < fr), 1,
+                        np.where(take_c, 2, np.where(take_cc, 3, 0)))
         m = np.flatnonzero(~shrink)
         s[m, -1] = trial[m, pick[m]]
         fs[m, -1] = ft[m, pick[m]]
@@ -232,8 +233,8 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
             fs[shrink, 1:] = f(b[:, 1:].reshape(-1, N)).reshape(-1, N)
             nfev += b.shape[0] * N
         order = np.argsort(fs, axis=1)
-        sim[rows] = np.take_along_axis(s, order[:, :, None], axis=1)
-        fsim[rows] = np.take_along_axis(fs, order, axis=1)
+        r = np.arange(len(rows))[:, None]
+        sim[rows], fsim[rows] = s[r, order], fs[r, order]
         nit[rows] += 1
     best = int(np.argmin(fsim[:, 0]))
     return SearchResult(x=sim[best, 0].copy(), fun=float(fsim[best, 0]),
@@ -333,12 +334,12 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
 
     f = _softmax_objective(F)
     X0 = _starts(q, center, cfg)
-    res = minimize(f, X0, cfg.max_iters, cfg.tol, 1e-10)
+    res = minimize(f, X0, cfg.max_iters, FATOL, 1e-10)
     if not res.success:
         raise NoConvergence("no optimizer start converged within the iteration budget")
     best_v, best_x = -res.fun, res.x
     # one polish pass from the winning point
-    polish = minimize(f, best_x, cfg.max_iters, cfg.tol, 1e-12)
+    polish = minimize(f, best_x, cfg.max_iters, FATOL, 1e-12)
     if -polish.fun > best_v:
         best_v, best_x = -polish.fun, polish.x
     best_p = _softmax(np.concatenate([best_x, [0.0]]))

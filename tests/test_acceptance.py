@@ -145,7 +145,7 @@ def test_criterion_8_thread_determinism(run_cli):
     ]
     for argv in commands:
         outputs = set()
-        for threads in ("1", "1", "4", "8"):
+        for threads in ("0", "1", "1", "4", "8"):
             code, out, _ = run_cli([*argv, "--threads", threads])
             assert code == 0, (argv, threads)
             outputs.add(out)

@@ -12,16 +12,37 @@ from treerecon.variational import MIN_GRID_POINTS
 QUICK = ["--starts", "8", "--grid-points", "50001"]
 
 
+NUMPY_ONLY_RUNS = [
+    ["c-of-m", "--family", "potts", "--q", "3", "--beta", "0.8", "--starts", "4"],
+    ["bounds", "--family", "binary", "--delta1", "0.3", "--delta2", "0.1",
+     "--branching", "17"],
+    ["table1", "--delta2-list", "0.2,0.8"],
+    ["verify", "--count", "3"],
+    ["simulate", "--family", "binary", "--delta1", "0.3", "--delta2", "0.1",
+     "--tree", "regular:d=2", "--depth", "3", "--samples", "200"],
+]
+
+
 def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency
+    # numpy is the only runtime dependency: with scipy unimportable, every
+    # command still runs, and importing the CLI loads no scipy module
     import treerecon
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treerecon.__file__)))
-    code = ("import sys, treerecon.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    script = f"""
+import contextlib, io, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import treerecon.cli
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+codes = []
+for argv in {NUMPY_ONLY_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(treerecon.cli.main([*argv, "--format", "json"]))
+print(loaded, codes)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == f"[] {[0] * len(NUMPY_ONLY_RUNS)}"
 
 
 def test_c_of_m_table_format(run_cli):
@@ -499,16 +520,3 @@ def test_from_file_bad_input_exits_2(run_cli, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-
-
-def test_threads_environment_fallback(run_cli, monkeypatch):
-    argv = ["c-of-m", "--family", "potts", "--q", "2", "--beta", "0.5",
-            "--format", "json", *QUICK]
-    monkeypatch.setenv("TREE_RECON_THREADS", "2")
-    code, out, _ = run_cli(argv)
-    assert code == 0
-    assert abs(json.loads(out)["value"] - math.tanh(0.5) ** 2) <= 1e-6
-    monkeypatch.setenv("TREE_RECON_THREADS", "x")
-    code, _, err = run_cli(argv)
-    assert code == 2
-    assert "error:" in err

@@ -22,6 +22,7 @@ from treerecon import (
     ratio,
 )
 from treerecon.variational import (
+    FATOL,
     GUARD_L1,
     MIN_GRID_POINTS,
     REFINE_STEPS,
@@ -342,7 +343,7 @@ def _scipy_per_start(f, X0):
     """scipy's Nelder-Mead result from each start, evaluating one point per call."""
     return [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
                            options={"maxiter": CROSS_CFG.max_iters,
-                                    "fatol": CROSS_CFG.tol, "xatol": 1e-10})
+                                    "fatol": FATOL, "xatol": 1e-10})
             for x0 in X0]
 
 
@@ -367,10 +368,10 @@ def test_batched_nelder_mead_matches_scipy_bitwise(name):
     f, X0 = CROSS_Q3[name]()
     ref = _scipy_per_start(f, X0)
     for x0, r in zip(X0, ref):
-        one = minimize(f, x0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+        one = minimize(f, x0, CROSS_CFG.max_iters, FATOL, 1e-10)
         assert one.x.tobytes() == r.x.tobytes()
         assert (one.fun, one.nit, one.success) == (r.fun, r.nit, r.success)
-    batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+    batch = minimize(f, X0, CROSS_CFG.max_iters, FATOL, 1e-10)
     first = min(range(len(ref)), key=lambda k: (ref[k].fun, k))
     assert batch.x.tobytes() == ref[first].x.tobytes()
     assert batch.fun == ref[first].fun
@@ -385,7 +386,7 @@ def test_batched_nelder_mead_reaches_scipy_best(q):
     # block, so paths may part; the best value must not fall behind scipy's.
     f, X0 = _channel_case(_random_channel(q, 70 + q))
     ref = _scipy_per_start(f, X0)
-    batch = minimize(f, X0, CROSS_CFG.max_iters, CROSS_CFG.tol, 1e-10)
+    batch = minimize(f, X0, CROSS_CFG.max_iters, FATOL, 1e-10)
     assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
 
 
