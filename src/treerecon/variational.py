@@ -18,10 +18,12 @@ For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
 together (minimize_scalar; iterations counts its steps, evaluations the grid
 points plus one per bracket and step); for q >= 3 it runs multistart
 Nelder-Mead in softmax coordinates.
-minimize advances all starts together as one (starts, q, q - 1) array of
+minimize advances the live starts together as one (live, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
-start.  Start k draws its randomness from a stream seeded by (seed, k), and
-the first of equal maxima wins, so results depend only on the configuration.
+start, in start order.  A start leaves the array when it converges or
+exhausts max_iters, so the live starts share one iteration count.  Start k
+draws its randomness from a stream seeded by (seed, k), and the first of
+equal maxima wins, so results depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
 MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
 REFINE_STEPS = 4  # parabolic steps of the q=2 refinement
 FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
+# trial points A * xbar - B * worst: reflection, expansion, outside and inside contraction
+_XBAR_COEF = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
+_WORST_COEF = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
 
 
 @dataclass(frozen=True)
@@ -181,37 +186,45 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
 
     Each row follows scipy's non-adaptive Nelder-Mead step for step: the same
     initial simplex, coefficients, comparisons and sort, and nit counting from
-    1 with no convergence test once it reaches max_iters.  A step evaluates
-    the four trial points of every live row in one f call, and the shrunk
-    vertices of the rows that shrink in a second, so a row's path is scipy's
+    1 with no convergence test once it reaches max_iters.  Rows only leave the
+    batch, when they converge or reach max_iters, so the live rows share one
+    iteration count.  A step evaluates the four trial points of every live
+    row in one f call, and the shrunk vertices of the rows that shrink in a
+    second, each in the rows' original order, so a row's path is scipy's
     wherever f evaluates each row independently of the others.
     """
     X0 = np.array(X0, dtype=float, ndmin=2)
     S, N = X0.shape
-    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    s = np.repeat(X0[:, None, :], N + 1, axis=1)
     k = np.arange(N)
-    sim[:, k + 1, k] = np.where(X0 != 0, 1.05 * X0, 0.00025)
-    fsim = f(sim.reshape(-1, N)).reshape(S, N + 1)
+    s[:, k + 1, k] = np.where(X0 != 0, 1.05 * X0, 0.00025)
+    fs = f(s.reshape(-1, N)).reshape(S, N + 1)
     nfev = S * (N + 1)
-    order = np.argsort(fsim, axis=1)
-    r = np.arange(S)[:, None]
-    sim, fsim = sim[r, order], fsim[r, order]
-    nit = np.ones(S, dtype=np.int64)
-    converged = np.zeros(S, dtype=bool)
+    live = np.arange(S)  # original row of each live simplex in s, fs
+    i = live[:, None]
+    order = np.argsort(fs, axis=1)
+    s, fs = s[i, order], fs[i, order]
+    x_out, f_out = np.empty((S, N)), np.empty(S)
+    nit = nit_sum = converged = 0
     while True:
-        rows = np.flatnonzero(~converged & (nit < max_iters))
-        s, fs = sim[rows], fsim[rows]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
-        converged[rows[done]] = True
-        rows, s, fs = rows[~done], s[~done], fs[~done]
-        if rows.size == 0:
-            break
-        xbar = np.add.reduce(s[:, :-1], 1) / N
-        worst = s[:, -1]
-        # reflection, expansion, outside and inside contraction
-        trial = np.stack([2 * xbar - 1 * worst, 3 * xbar - 2 * worst,
-                          1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst], axis=1)
+        nit += 1
+        if nit >= max_iters:
+            leave = np.ones(len(live), dtype=bool)
+        else:
+            # fs is sorted, so fs[:, -1] - fs[:, 0] is max |fs[:, 0] - fs[:, j]|, NaN included
+            leave = fs[:, -1] - fs[:, 0] <= fatol
+            if leave.any():
+                leave[leave] = np.abs(s[leave, 1:] - s[leave, :1]).max(axis=(1, 2)) <= xatol
+                converged += int(leave.sum())
+        if leave.any():
+            gone = live[leave]
+            x_out[gone], f_out[gone] = s[leave, 0], fs[leave, 0]
+            nit_sum += nit * len(gone)
+            live, s, fs = live[~leave], s[~leave], fs[~leave]
+            if live.size == 0:
+                break
+            i = np.arange(len(live))[:, None]
+        trial = _XBAR_COEF * (np.add.reduce(s[:, :-1], 1) / N)[:, None] - _WORST_COEF * s[:, -1:]
         ft = f(trial.reshape(-1, N)).reshape(-1, 4)
         nfev += ft.size
         fr, fe, fc, fcc = ft.T
@@ -223,24 +236,21 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
         shrink = contract & ~take_c & ~take_cc
         pick = np.where(expand & (fe < fr), 1,
                         np.where(take_c, 2, np.where(take_cc, 3, 0)))
-        m = np.flatnonzero(~shrink)
-        s[m, -1] = trial[m, pick[m]]
-        fs[m, -1] = ft[m, pick[m]]
-        if shrink.any():
+        if not shrink.any():
+            s[:, -1], fs[:, -1] = trial[i[:, 0], pick], ft[i[:, 0], pick]
+        else:
+            m = ~shrink
+            s[m, -1], fs[m, -1] = trial[m, pick[m]], ft[m, pick[m]]
             b = s[shrink]
             b[:, 1:] = b[:, :1] + 0.5 * (b[:, 1:] - b[:, :1])
             s[shrink] = b
             fs[shrink, 1:] = f(b[:, 1:].reshape(-1, N)).reshape(-1, N)
             nfev += b.shape[0] * N
         order = np.argsort(fs, axis=1)
-        r = np.arange(len(rows))[:, None]
-        sim[rows], fsim[rows] = s[r, order], fs[r, order]
-        nit[rows] += 1
-    best = int(np.argmin(fsim[:, 0]))
-    return SearchResult(x=sim[best, 0].copy(), fun=float(fsim[best, 0]),
-                        nit=int(nit.sum()), nfev=nfev,
-                        success=bool(converged.any()),
-                        failed=int(S - converged.sum()))
+        s, fs = s[i, order], fs[i, order]
+    best = int(np.argmin(f_out))
+    return SearchResult(x=x_out[best], fun=float(f_out[best]), nit=nit_sum, nfev=nfev,
+                        success=converged > 0, failed=S - converged)
 
 
 def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:

@@ -213,6 +213,20 @@ def test_extreme_channel_ends_cleanly(run_cli, case):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_no_converged_start_exits_3(run_cli):
+    # At 40 iterations none of the 64 Potts starts converges; at 100 all but
+    # one do, and the report counts the one that exhausted its budget.
+    potts = ["c-of-m", "--family", "potts", "--q", "3", "--beta", "0.8", "--format", "json"]
+    code, out, err = run_cli([*potts, "--max-iters", "40"])
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "no optimizer start converged" in err
+    code, out, err = run_cli([*potts, "--max-iters", "100"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (1, 5352, 22409)
+
+
 def test_bounds_fine_grid_near_alpha(run_cli):
     # The 100,001-point grid has a row within an ulp of alpha; fk must still
     # be c = (delta2 - delta1)^2, as on the default grid.

@@ -339,10 +339,10 @@ def _channel_case(ch):
     return f, _starts(ch.q, ch.stationary, CROSS_CFG)
 
 
-def _scipy_per_start(f, X0):
+def _scipy_per_start(f, X0, max_iters=CROSS_CFG.max_iters):
     """scipy's Nelder-Mead result from each start, evaluating one point per call."""
     return [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
-                           options={"maxiter": CROSS_CFG.max_iters,
+                           options={"maxiter": max_iters,
                                     "fatol": FATOL, "xatol": 1e-10})
             for x0 in X0]
 
@@ -360,24 +360,30 @@ CROSS_Q3 = {
 }
 
 
-@pytest.mark.parametrize("name", CROSS_Q3)
-def test_batched_nelder_mead_matches_scipy_bitwise(name):
+@pytest.mark.parametrize("name, max_iters", [
+    pytest.param(name, n, id=name if n == CROSS_CFG.max_iters else f"{name}-{n}")
+    for n in (CROSS_CFG.max_iters, 100, 1) for name in CROSS_Q3])
+def test_batched_nelder_mead_matches_scipy_bitwise(name, max_iters):
     # At q = 3 the objective rounds each row alike in any batch, so every
     # start must follow scipy's path bit for bit, and the batch must return
-    # the first start of least value.
+    # the first start of least value.  At 1500 iterations the starts
+    # converge (one potts-beta0 start excepted); at 100 random-0 has starts
+    # that converge and starts that exhaust the budget, so rows leave the
+    # batch at different steps for different reasons; at 1 every start
+    # exhausts it.
     f, X0 = CROSS_Q3[name]()
-    ref = _scipy_per_start(f, X0)
+    ref = _scipy_per_start(f, X0, max_iters)
     for x0, r in zip(X0, ref):
-        one = minimize(f, x0, CROSS_CFG.max_iters, FATOL, 1e-10)
+        one = minimize(f, x0, max_iters, FATOL, 1e-10)
         assert one.x.tobytes() == r.x.tobytes()
         assert (one.fun, one.nit, one.success) == (r.fun, r.nit, r.success)
-    batch = minimize(f, X0, CROSS_CFG.max_iters, FATOL, 1e-10)
+    batch = minimize(f, X0, max_iters, FATOL, 1e-10)
     first = min(range(len(ref)), key=lambda k: (ref[k].fun, k))
     assert batch.x.tobytes() == ref[first].x.tobytes()
     assert batch.fun == ref[first].fun
     assert batch.nit == sum(r.nit for r in ref)
     assert batch.failed == sum(not r.success for r in ref)
-    assert batch.success
+    assert batch.success == any(r.success for r in ref)
 
 
 @pytest.mark.parametrize("q", [4, 5])
