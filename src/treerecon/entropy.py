@@ -44,10 +44,13 @@ def relative_entropy(p, q) -> float:
     return float(np.sum(rel_entr(p, q)))
 
 
-def symmetrized_entropy(p, alpha) -> float:
-    """L(p) = sum_i (p_i - alpha_i) log(p_i / alpha_i); may be +inf, never raises."""
+def symmetrized_entropy(p, alpha, M=None) -> float:
+    """L(p) = sum_i (p_i - alpha_i) log(p_i / alpha_i); may be +inf, never raises.
+    Given M, L(p M) as in symmetrized_entropy_rows."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(alpha, dtype=float)
+    if M is not None:
+        return float(symmetrized_entropy_rows(p[None], a, M)[0])
     if np.any((p == 0.0) != (a == 0.0)):
         return math.inf
     m = a > 0.0
@@ -86,20 +89,30 @@ def pairwise_sum(X: np.ndarray) -> np.ndarray:
     return pairwise_sum(X[:half]) + pairwise_sum(X[half:])
 
 
-def symmetrized_entropy_rows(P: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def symmetrized_entropy_rows(P: np.ndarray, alpha: np.ndarray, M=None) -> np.ndarray:
     """Vectorized L over the rows of P, against a strictly positive alpha.
 
     A row with a zero entry gives +inf, through log 0 = -inf; entries of P
-    must not be negative.
+    must not be negative.  Given a q x q M with alpha M = alpha, the rows are
+    L(p M) in deviation form: d = p - alpha (exact by Sterbenz's lemma near
+    alpha) is projected along alpha onto sum d = 0 and mapped by M, which
+    keeps full relative accuracy however close p is to alpha.  The log branch
+    takes p M; a projected d below -alpha_i, where p_i ~ 0, lands there too.
     """
     P = np.asarray(P, dtype=float)
     a = np.asarray(alpha, dtype=float)[:, None]
     log_a = np.log(a)
+    if M is not None:
+        # (d - (sum d) alpha) M = d M - (sum d) alpha: one matrix for both
+        Mt = np.asarray(M, dtype=float).T
+        Md = Mt - a
     L = np.empty(len(P))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, len(P), _CHUNK):
             B = P[s:s + _CHUNK].T.copy()
             d = B - a
+            if M is not None:
+                d, B = Md @ d, Mt @ B
             r = d / a
             small = np.abs(r) < 0.5
             # in place: r becomes d log1p(r), B becomes d (log p - log alpha)

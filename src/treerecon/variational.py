@@ -12,7 +12,8 @@ That near-center value is always merged with the interior search, so the
 reported constant is max(near-center limit, best evaluated ratio).
 
 Each constant has one objective F, a rows function mapping an (S, q) array
-of beliefs to S values, guard zone included, and one search, _maximize.
+of beliefs to S values, alpha and the boundary included, and one search,
+_maximize.
 For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
 100,001 are raised to 100,001), refines the brackets of its best local maxima
 together (minimize_scalar; iterations counts its steps, evaluations the grid
@@ -39,7 +40,6 @@ from .entropy import symmetrized_entropy, symmetrized_entropy_rows
 from .errors import BadDimension, CenterSingularity, NoConvergence
 
 CENTER_ATOL = 1e-12
-GUARD_L1 = 1e-8  # inside this l1 distance of the center, use the quadratic form
 MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
 REFINE_STEPS = 4  # parabolic steps of the q=2 refinement
 FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
@@ -77,7 +77,8 @@ class VariationalResult:
 
 
 def ratio(p, channel: Channel) -> float:
-    """L(p M_rev) / L(p).  Raises CenterSingularity if p is alpha within 1e-12.
+    """L(p M_rev) / L(p), both in the deviation form of _ratio_rows.  Raises
+    CenterSingularity if p is alpha within 1e-12.
 
     Returns 0.0 on the boundary of the simplex, where L(p) = +inf while the
     numerator stays finite (positive channels map everything inside).
@@ -88,10 +89,10 @@ def ratio(p, channel: Channel) -> float:
         raise BadDimension(f"belief has shape {p.shape}, expected {a.shape}")
     if np.max(np.abs(p - a)) <= CENTER_ATOL:
         raise CenterSingularity("ratio is 0/0 at the stationary distribution")
-    Lp = symmetrized_entropy(p, a)
+    Lp = symmetrized_entropy(p, a, np.eye(len(a)))
     if not math.isfinite(Lp) or Lp == 0.0:
         return 0.0
-    return symmetrized_entropy(p @ channel.reversed, a) / Lp
+    return symmetrized_entropy(p, a, channel.reversed) / Lp
 
 
 def _near_center(channel: Channel) -> tuple[float, np.ndarray]:
@@ -123,39 +124,24 @@ def near_center_limit(channel: Channel) -> float:
     return _near_center(channel)[0]
 
 
-def _near_rows(P: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Mask of the rows of P within l1 distance GUARD_L1 of center."""
-    near = np.abs(P[:, 0] - center[0]) < GUARD_L1  # necessary; cheap on a large grid
-    if near.any():
-        near[near] = np.abs(P[near] - center).sum(axis=1) < GUARD_L1
-    return near
-
-
 def _ratio_rows(channel: Channel, nc_value: float):
-    """F(P) = L(P M_rev) / L(P) over the rows of P.
+    """F(P) = L(P M_rev) / L(P) over the rows of P, both in deviation form.
 
-    Within GUARD_L1 of alpha, where both entropies vanish, F is the quadratic
-    form of the second-order expansion (nc_value exactly at alpha); on the
-    boundary of the simplex, where L(p) = +inf, F is 0.  The form bounds
-    the ratio only on {sum v = 0}, so each row of P - alpha is centred first:
-    within an ulp of alpha its rounded sum is not 0.
+    Each row's deviation d = p - alpha is projected onto sum d = 0 along
+    alpha for both entropies, so F keeps full relative accuracy however
+    close p is to alpha.  F is nc_value where the projected d is exactly 0
+    (the 0/0 at alpha) and 0 on the boundary of the simplex, where
+    L(p) = +inf.
     """
     a = channel.stationary
     rev = channel.reversed
-    inv_a = 1.0 / a
+    eye = np.eye(channel.q)
 
     def F(P: np.ndarray) -> np.ndarray:
-        L = symmetrized_entropy_rows(P, a)
+        L = symmetrized_entropy_rows(P, a, eye)
         ok = np.isfinite(L) & (L > 0.0)
-        r = np.where(ok, symmetrized_entropy_rows(P @ rev, a) / np.where(ok, L, 1.0), 0.0)
-        near = _near_rows(P, a)
-        if near.any():
-            D = P[near] - a
-            D = D - D.mean(axis=1, keepdims=True)
-            W = D @ rev
-            den = (D * D * inv_a).sum(axis=1)
-            num = (W * W * inv_a).sum(axis=1)
-            r[near] = np.where(den == 0.0, nc_value, num / np.where(den == 0.0, 1.0, den))
+        r = np.where(ok, symmetrized_entropy_rows(P, a, rev) / np.where(ok, L, 1.0), 0.0)
+        r[L == 0.0] = nc_value
         return r
 
     return F
@@ -369,8 +355,8 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     a = channel.stationary
     nc_value, nc_dir = _near_center(channel)
 
-    # representative point for the near-center candidate, inside the guard
-    # zone (the largest entry of nc_dir is +-1)
+    # representative point for the near-center candidate, 1e-9 min(alpha)
+    # from alpha in the max norm (the largest entry of nc_dir is +-1)
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
@@ -390,6 +376,25 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
+def _potts_rows(q: int, lam: float):
+    """potts_cbar's objective over the rows of P.  With R = q p - 1 centred,
+    log(q (p M)_i) = log1p(lam R_i) for the Potts channel M, so the numerator
+    is sum R log1p(lam R) and both factors of every term vanish together at
+    the uniform vector; F is lam there exactly and 0 on the boundary."""
+    def F(P: np.ndarray) -> np.ndarray:
+        R = P - 1.0 / q  # exact near 1/q, where q P - 1 would round
+        R = q * (R - R.mean(axis=1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = (R * np.log1p(R)).sum(axis=1)
+            num = (R * np.log1p(lam * R)).sum(axis=1)
+        ok = np.isfinite(den) & (den > 0.0) & np.isfinite(num)
+        r = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+        r[den == 0.0] = lam
+        return r
+
+    return F
+
+
 def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> float:
     """sup_p of the reduced Potts objective
 
@@ -403,26 +408,6 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> fl
     """
     cfg = config or OptimizerConfig()
     e2b = _potts_e2b(q, beta)
-    g = e2b - 1.0
-    lam = g / (e2b + q - 1.0)
-    # The numerator pairs weights q*p-1 (which sum to 0 exactly only in real
-    # arithmetic) with O(1) logarithms, so a 1-ulp defect in the weight sum
-    # is amplified by 1/|p-u|^2 near the center.  Centering the weights and
-    # shifting the logs by their center value makes both factors of every
-    # term vanish there, which restores relative accuracy.
-    log_center = math.log1p(g / q)
-    u = np.full(q, 1.0 / q)
-
-    def F(P: np.ndarray) -> np.ndarray:
-        R = q * P - 1.0
-        R = R - R.mean(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = (R * np.log1p(R)).sum(axis=1)
-            num = (R * (np.log1p(g * P) - log_center)).sum(axis=1)
-        ok = np.isfinite(den) & (den > 0.0) & np.isfinite(num)
-        r = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        r[_near_rows(P, u)] = lam
-        return r
-
-    best_v = _maximize(F, q, u, cfg)[0]
+    lam = (e2b - 1.0) / (e2b + q - 1.0)
+    best_v = _maximize(_potts_rows(q, lam), q, np.full(q, 1.0 / q), cfg)[0]
     return float(max(best_v, lam))

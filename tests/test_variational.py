@@ -22,11 +22,12 @@ from treerecon import (
     ratio,
 )
 from treerecon.variational import (
+    CENTER_ATOL,
     FATOL,
-    GUARD_L1,
     MIN_GRID_POINTS,
     REFINE_STEPS,
     _near_center,
+    _potts_rows,
     _ratio_rows,
     _softmax_objective,
     _starts,
@@ -198,13 +199,12 @@ def test_rows_objective_matches_scalar_ratio(q):
     ch = make_channel(0.8 * rng.dirichlet(np.ones(q), size=q) + 0.2 / q)
     F = _ratio_rows(ch, near_center_limit(ch))
     P = rng.dirichlet(np.ones(q), size=4000)
-    P = P[np.abs(P - ch.stationary).sum(axis=1) >= GUARD_L1]
     scalar = np.array([ratio(p, ch) for p in P])
     np.testing.assert_allclose(F(P), scalar, rtol=1e-12, atol=0)
     single = np.array([F(p[None])[0] for p in P[:500]])
     np.testing.assert_allclose(single, scalar[:500], rtol=1e-12, atol=0)
-    # guard zone: the quadratic form, which is the limit at alpha itself and
-    # a Rayleigh quotient below it nearby; vertices lie on the boundary
+    # the limit at alpha itself, a value below it nearby; vertices lie on
+    # the boundary
     a = ch.stationary
     v = rng.standard_normal(q)
     near = F(np.array([a, a + 1e-10 * (v - v.mean())]))
@@ -216,22 +216,86 @@ def test_rows_objective_matches_scalar_ratio(q):
 @pytest.mark.parametrize("delta1, delta2", [
     (0.18, 0.82), (0.41, 0.59), (0.42, 0.58), (0.43, 0.57), (0.82, 0.18)])
 def test_guard_rows_stay_below_near_center_limit(delta1, delta2):
-    # On these channels a q=2 grid row lies within an ulp of alpha, where
-    # P - alpha does not sum to 0 in floating point; the quadratic form must
-    # still stay below its supremum over {sum v = 0}.
-    # The default grid has no row in the guard zone; rows a few ulps from
-    # alpha stand in for it.
+    # On these symmetric channels the limit is the supremum.  A q=2 grid row
+    # lies within an ulp of alpha, where P - alpha does not sum to 0 in
+    # floating point; projected along alpha, F must still stay below the
+    # limit there, at every row within 64 ulps of alpha and at the row of
+    # each grid nearest alpha.
     ch = binary_channel(delta1, delta2)
     limit = near_center_limit(ch)
     F = _ratio_rows(ch, limit)
     a0 = ch.stationary[0]
-    ulps = a0 + np.spacing(a0) * np.arange(-4, 5)
-    for t in (np.linspace(1e-9, 1.0 - 1e-9, MIN_GRID_POINTS),
-              np.linspace(1e-9, 1.0 - 1e-9, OptimizerConfig().grid_points), ulps):
-        P = np.stack([t, 1.0 - t], axis=1)
-        P = P[np.abs(P - ch.stationary).sum(axis=1) < GUARD_L1]
-        assert len(P) > 0 or len(t) > MIN_GRID_POINTS
-        assert np.all(F(P) <= limit * (1 + 1e-9))
+    t = [a0 + np.spacing(a0) * np.arange(-64, 65)]
+    for n in (MIN_GRID_POINTS, OptimizerConfig().grid_points):
+        grid = np.linspace(1e-9, 1.0 - 1e-9, n)
+        t.append(grid[[np.argmin(np.abs(grid - a0))]])
+    for u in t:
+        assert np.all(F(np.stack([u, 1.0 - u], axis=1)) <= limit * (1 + 1e-13))
+
+
+def _mp_ratio(p, a, rev):
+    """L(p M_rev) / L(p) at 50 digits in deviation form, taking the stored
+    alpha and M_rev as exact: d = p - alpha projected along alpha onto
+    sum d = 0, then sum_j w_j log1p(w_j / alpha_j) with w = d M_rev over
+    sum_i d_i log1p(d_i / alpha_i)."""
+    A = [mpmath.mpf(float(x)) for x in a]
+    d = [mpmath.mpf(float(x)) - y for x, y in zip(p, A)]
+    s = mpmath.fsum(d)
+    d = [x - s * y for x, y in zip(d, A)]
+    w = [mpmath.fsum(d[i] * mpmath.mpf(float(rev[i, j])) for i in range(len(A)))
+         for j in range(len(A))]
+    def L(v):
+        return mpmath.fsum(x * mpmath.log1p(x / y) for x, y in zip(v, A))
+    return L(w) / L(d)
+
+
+def test_rows_objective_matches_mpmath_near_alpha():
+    # At l1 distances 1e-3 .. 1e-15 from alpha, along the near-center
+    # direction and 4 random ones, F keeps full relative accuracy, batched
+    # and one row at a time, and so does ratio() outside CENTER_ATOL.
+    panel = [make_channel(np.random.default_rng(q).dirichlet(np.ones(q), size=q))
+             for q in (3, 4, 5)]
+    panel += [potts_channel(3, 1.0), binary_channel(0.3, 0.6)]
+    rng = np.random.default_rng(8)
+    with mpmath.workdps(50):
+        for ch in panel:
+            a = ch.stationary
+            F = _ratio_rows(ch, near_center_limit(ch))
+            dirs = [_near_center(ch)[1], *rng.standard_normal((4, ch.q))]
+            P = np.array([a + 10.0 ** -e * (v - v.mean()) / np.abs(v - v.mean()).sum()
+                          for v in dirs for e in range(3, 16)])
+            ref = np.array([float(_mp_ratio(p, a, ch.reversed)) for p in P])
+            np.testing.assert_allclose(F(P), ref, rtol=1e-15, atol=0)
+            single = np.array([F(p[None])[0] for p in P])
+            np.testing.assert_allclose(single, ref, rtol=1e-15, atol=0)
+            far = np.max(np.abs(P - a), axis=1) > CENTER_ATOL
+            scalar = np.array([ratio(p, ch) for p in P[far]])
+            np.testing.assert_allclose(scalar, ref[far], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("q, beta", [(3, 0.3), (3, 1.0), (4, 1.0), (5, 3.0), (8, 1.0)])
+def test_potts_rows_match_mpmath_near_uniform(q, beta):
+    # One heavy state: p = u + t (e_0 - u) for |t| = 1e-3 .. 1e-15, where
+    # u is uniform.  With R = q p - 1 centred, F is sum R log1p(lam R) over
+    # sum R log1p(R), taking the stored e^{2 beta} as exact.
+    from treerecon.channels import _potts_e2b
+
+    e2b = _potts_e2b(q, beta)
+    lam = (e2b - 1.0) / (e2b + q - 1.0)
+    t = np.array([s * 10.0 ** -e for e in range(3, 16) for s in (1.0, -1.0)])
+    P = np.tile(1.0 / q - t[:, None] / q, q)
+    P[:, 0] = 1.0 / q + t * (q - 1) / q
+    with mpmath.workdps(50):
+        g = mpmath.mpf(e2b) - 1
+        mp_lam = g / (q + g)
+        ref = []
+        for p in P:
+            d = [mpmath.mpf(float(x)) - mpmath.mpf(1) / q for x in p]
+            s = mpmath.fsum(d) / q
+            R = [q * (x - s) for x in d]
+            ref.append(float(mpmath.fsum(r * mpmath.log1p(mp_lam * r) for r in R)
+                             / mpmath.fsum(r * mpmath.log1p(r) for r in R)))
+    np.testing.assert_allclose(_potts_rows(q, lam)(P), ref, rtol=1e-15, atol=0)
 
 
 def _mp_stationary(m):
@@ -459,16 +523,15 @@ def test_q2_ising_reaches_the_limit(beta):
     res = compute_c(potts_channel(2, beta))
     want = math.tanh(beta) ** 2
     assert res.trace.near_center_is_max
-    assert abs(res.value - want) <= 1e-10 * want
+    assert abs(res.value - want) <= 1e-14 * want
 
 
 def test_q2_symmetric_binary_reaches_the_limit():
-    # binary(d, 1 - d) is Ising with tanh(beta) = 1 - 2d.  Near alpha the
-    # rounding of p M_rev leaves F up to ~2.4e-9 relative above the limit on
-    # this grid, so the value is held to 1e-8; the flag must never flip.
+    # binary(d, 1 - d) is Ising with tanh(beta) = 1 - 2d; the flag must
+    # never flip.
     cfg = OptimizerConfig(grid_points=MIN_GRID_POINTS)
     for d in np.arange(0.02, 0.5, 0.02).round(2):
         res = compute_c(binary_channel(d, 1.0 - d), cfg)
         want = (1.0 - 2.0 * d) ** 2
         assert res.trace.near_center_is_max, d
-        assert abs(res.value - want) <= 1e-8 * want, d
+        assert abs(res.value - want) <= 1e-13 * want, d
