@@ -224,7 +224,7 @@ def test_no_converged_start_exits_3(run_cli):
     code, out, err = run_cli([*potts, "--max-iters", "100"])
     assert code == 0 and err == ""
     report = json.loads(out)
-    assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (1, 5352, 22409)
+    assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (1, 5279, 22115)
 
 
 def test_bounds_fine_grid_near_alpha(run_cli):
