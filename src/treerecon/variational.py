@@ -139,8 +139,10 @@ def _ratio_rows(channel: Channel, nc_value: float):
 
     def F(P: np.ndarray) -> np.ndarray:
         L = symmetrized_entropy_rows(P, a, eye)
-        ok = np.isfinite(L) & (L > 0.0)
-        r = np.where(ok, symmetrized_entropy_rows(P, a, rev) / np.where(ok, L, 1.0), 0.0)
+        r = symmetrized_entropy_rows(P, a, rev)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= L
+        r[~np.isfinite(L)] = 0.0
         r[L == 0.0] = nc_value
         return r
 
