@@ -129,9 +129,9 @@ def _ratio_rows(channel: Channel, nc_value: float):
 
     Each row's deviation d = p - alpha is projected onto sum d = 0 along
     alpha for both entropies, so F keeps full relative accuracy however
-    close p is to alpha.  F is nc_value where the projected d is exactly 0
-    (the 0/0 at alpha) and 0 on the boundary of the simplex, where
-    L(p) = +inf.
+    close p is to alpha.  F is nc_value where L(p) is exactly 0 (the 0/0 at
+    alpha) and 0 where the quotient is not finite, as on the boundary of the
+    simplex, where L(p) = +inf.
     """
     a = channel.stationary
     rev = channel.reversed
@@ -142,7 +142,7 @@ def _ratio_rows(channel: Channel, nc_value: float):
         r = symmetrized_entropy_rows(P, a, rev)
         with np.errstate(divide="ignore", invalid="ignore"):
             r /= L
-        r[~np.isfinite(L)] = 0.0
+        r[~np.isfinite(r)] = 0.0
         r[L == 0.0] = nc_value
         return r
 
@@ -384,13 +384,12 @@ def _potts_rows(q: int, lam: float):
     is sum R log1p(lam R) and both factors of every term vanish together at
     the uniform vector; F is lam there exactly and 0 on the boundary."""
     def F(P: np.ndarray) -> np.ndarray:
-        R = P - 1.0 / q  # exact near 1/q, where q P - 1 would round
-        R = q * (R - R.mean(axis=1, keepdims=True))
+        R = q * P - 1.0
+        R = R - R.mean(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             den = (R * np.log1p(R)).sum(axis=1)
-            num = (R * np.log1p(lam * R)).sum(axis=1)
-        ok = np.isfinite(den) & (den > 0.0) & np.isfinite(num)
-        r = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+            r = (R * np.log1p(lam * R)).sum(axis=1) / den
+        r[~np.isfinite(r)] = 0.0
         r[den == 0.0] = lam
         return r
 
