@@ -21,6 +21,7 @@ from treerecon import (
     potts_channel,
     ratio,
 )
+from treerecon.channels import _potts_e2b
 from treerecon.variational import (
     CENTER_ATOL,
     FATOL,
@@ -278,8 +279,6 @@ def test_potts_rows_match_mpmath_near_uniform(q, beta):
     # One heavy state: p = u + t (e_0 - u) for |t| = 1e-3 .. 1e-15, where
     # u is uniform.  With R = q p - 1 centred, F is sum R log1p(lam R) over
     # sum R log1p(R), taking the stored e^{2 beta} as exact.
-    from treerecon.channels import _potts_e2b
-
     e2b = _potts_e2b(q, beta)
     lam = (e2b - 1.0) / (e2b + q - 1.0)
     t = np.array([s * 10.0 ** -e for e in range(3, 16) for s in (1.0, -1.0)])
