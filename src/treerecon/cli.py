@@ -517,6 +517,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # an input too large to allocate, such as --grid-points
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (NoConvergence, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -11,14 +11,16 @@ with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
 That near-center value is always merged with the interior search, so the
 reported constant is max(near-center limit, best evaluated ratio).
 
-Each constant has one objective F, a rows function mapping an (S, q) array
-of beliefs to S values, alpha and the boundary included, and one search,
-_maximize.
-For q = 2 it evaluates F on a 1-d grid of grid_points points (fewer than
-100,001 are raised to 100,001), refines the brackets of its best local maxima
-together (minimize_scalar; iterations counts its steps, evaluations the grid
-points plus one per bracket and step); for q >= 3 it runs multistart
-Nelder-Mead in softmax coordinates.
+Each constant has one objective F, alpha and the boundary included, and
+one search, _maximize.  For q = 2, F maps a 1-d array of t = p_0 to values
+through the closed form R(s) = lam g(lam s) / g(s) of _ratio_q2, with
+s = t - alpha_0 and lam = M_00 + M_11 - 1; _maximize evaluates it on a grid
+of grid_points points (fewer than 100,001 are raised to 100,001) and refines
+the brackets of its best local maxima together (minimize_scalar; iterations
+counts its steps, evaluations the grid points plus one per bracket and
+step).  _ratio_rows, the general rows objective over an (S, q) array of
+beliefs, stays the q = 2 cross-check.  For q >= 3, F is _ratio_rows and
+_maximize runs multistart Nelder-Mead in softmax coordinates.
 minimize advances the live starts together as one (live, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
 start, in start order.  A start leaves the array when it converges or
@@ -36,7 +38,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
-from .entropy import symmetrized_entropy, symmetrized_entropy_rows
+from .entropy import _CHUNK, symmetrized_entropy, symmetrized_entropy_rows
 from .errors import BadDimension, CenterSingularity, NoConvergence
 
 CENTER_ATOL = 1e-12
@@ -145,6 +147,73 @@ def _ratio_rows(channel: Channel, nc_value: float):
         r[~np.isfinite(r)] = 0.0
         r[L == 0.0] = nc_value
         return r
+
+    return F
+
+
+def _ratio_q2(channel: Channel, nc_value: float):
+    """F(t) = L(p M_rev) / L(p) at p = (t, 1 - t), over a 1-d array of t, in
+    closed form.
+
+    With (a, b) = alpha and s = t - a, p = alpha + s (1, -1), and (1, -1) is
+    a left eigenvector of M_rev with eigenvalue lam = M_00 + M_11 - 1.  So
+    L(p) = s g(s) and L(p M_rev) = lam s g(lam s), where
+
+        g(s) = log1p(s / a) - log1p(-s / b) = log(t b / (a u)),  u = 1 - t,
+
+    and F = R(s) = lam g(lam s) / g(s), whose limit at s = 0 is lam^2.  g at
+    a point (t, u) of deviation d from alpha is log1p(d / (a u)) where that
+    argument is below 0.5 in magnitude, which keeps full relative accuracy
+    near alpha, and log(t b / (a u)) elsewhere.  At the mapped point, d is
+    lam s and t and u are the products t rev_00 + u rev_10 and
+    t rev_01 + u rev_11, as in the kernel's log branch.  The log1p form
+    takes u for b - d, which differs from it by the rounding of the stored
+    a + b, a large error next to a tiny b; so the states are first
+    relabelled to make a <= b, and u stays above 0.4 wherever that form is
+    used.  F is nc_value where g(s) is exactly 0 and 0 where the quotient is
+    not finite, as on the boundary.  Blocks of _CHUNK points keep the
+    temporaries in cache.
+
+    A symmetric channel (a = 1/2) has R <= lam^2 on the whole simplex, so
+    its c(M) is the near-center limit lam^2.  Proof: g'(v) = 1/(a + v) +
+    1/(b - v) = 1/(1/4 - v^2) is even and grows with |v|, so
+    h(x) = g(x) / x, the mean of g' over [0, x], is positive, even and grows
+    with |x|.  As |lam| <= 1, R(s) = lam^2 h(lam s) / h(s) <= lam^2.
+    """
+    a, b = channel.stationary
+    rev = channel.reversed
+    swap = a > b
+    if swap:
+        a, b, rev = b, a, rev[::-1, ::-1]
+    (r00, r01), (r10, r11) = rev
+    lam = r00 - r10
+
+    def g(d, t, u):
+        # one transcendental per point
+        au = a * u
+        x = d / au
+        small = np.abs(x) < 0.5
+        np.log1p(x, out=x, where=small)
+        np.log(t * b / au, out=x, where=~small)
+        return x
+
+    def F(t: np.ndarray) -> np.ndarray:
+        out = np.empty(len(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, len(t), _CHUNK):
+                T = t[i:i + _CHUNK]
+                U = 1.0 - T
+                if swap:
+                    T, U = U, T
+                s = T - a
+                den = g(s, T, U)
+                r = g(lam * s, T * r00 + U * r10, T * r01 + U * r11)
+                r *= lam
+                r /= den
+                r[~np.isfinite(r)] = 0.0
+                r[den == 0.0] = nc_value
+                out[i:i + _CHUNK] = r
+        return out
 
     return F
 
@@ -295,9 +364,9 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
 
 
 def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
-    """Best found (value, point, stats) of the rows objective F over the
-    q-simplex, where stats holds the search's MethodTrace fields.  The q = 2
-    grid refines its best 8 local maxima and its maximum in one batched
+    """Best found (value, point, stats) of the objective F over the
+    q-simplex, where stats holds the search's MethodTrace fields.  For q = 2
+    F maps a 1-d array of p_0 to values, and its grid refines its best 8 local maxima and its maximum in one batched
     search, and counts its steps as iterations; q >= 3 runs all starts in one
     batched Nelder-Mead, whose starts also perturb ``center``, then polishes
     the winner.  Fewer than one start or iteration is a ValueError for
@@ -310,10 +379,7 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     if q == 2:
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
-        P = np.empty((n_points, 2))  # np.stack([t, 1 - t], axis=1), built in place
-        P[:, 0] = t
-        np.subtract(1.0, t, out=P[:, 1])
-        r = F(P)
+        r = F(t)
         interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
         order = np.argsort(r[interior], kind="stable")
         top = int(np.argmax(r))
@@ -321,8 +387,7 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
         # grid triples; a candidate at an end of the grid keeps a one-sided bracket
         j = np.clip(cand, 1, n_points - 2)[:, None] + np.arange(-1, 2)
         lo, hi = t[np.maximum(cand - 1, 0)], t[np.minimum(cand + 1, n_points - 1)]
-        res = minimize_scalar(lambda u: -F(np.stack([u, 1.0 - u], axis=1)),
-                              t[j], -r[j], lo, hi)
+        res = minimize_scalar(lambda u: -F(u), t[j], -r[j], lo, hi)
         best_v, best_t = float(r[top]), float(t[top])
         if -res.fun > best_v:
             best_v, best_t = -res.fun, float(res.x[0])
@@ -362,7 +427,8 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    best_v, best_p, stats = _maximize(_ratio_rows(channel, nc_value), channel.q, a, cfg)
+    F = (_ratio_q2 if channel.q == 2 else _ratio_rows)(channel, nc_value)
+    best_v, best_p, stats = _maximize(F, channel.q, a, cfg)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
@@ -396,6 +462,22 @@ def _potts_rows(q: int, lam: float):
     return F
 
 
+def _potts_q2(lam: float):
+    """_potts_rows at q = 2 as a function of t = p_0: with r = 2 t - 1 its
+    terms are r log1p(lam r) and -r log1p(-lam r), so F = atanh(lam r) /
+    atanh(r), lam at r = 0 and 0 on the boundary."""
+    def F(t: np.ndarray) -> np.ndarray:
+        r = 2.0 * t - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = np.arctanh(r)
+            f = np.arctanh(lam * r) / den
+        f[~np.isfinite(f)] = 0.0
+        f[den == 0.0] = lam
+        return f
+
+    return F
+
+
 def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> float:
     """sup_p of the reduced Potts objective
 
@@ -410,5 +492,6 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> fl
     cfg = config or OptimizerConfig()
     e2b = _potts_e2b(q, beta)
     lam = (e2b - 1.0) / (e2b + q - 1.0)
-    best_v = _maximize(_potts_rows(q, lam), q, np.full(q, 1.0 / q), cfg)[0]
+    F = _potts_q2(lam) if q == 2 else _potts_rows(q, lam)
+    best_v = _maximize(F, q, np.full(q, 1.0 / q), cfg)[0]
     return float(max(best_v, lam))
