@@ -139,6 +139,15 @@ def test_validation_failures_exit_2(run_cli):
     assert err == "error: row 0 sums to 1.1, not 1 within 1e-09\n"
 
 
+def test_unallocatable_grid_exits_2(run_cli):
+    # 10^15 grid points ask numpy for 7.1 PiB, which the allocator refuses
+    # at once, without touching memory
+    code, out, err = run_cli(["c-of-m", "--family", "binary", "--delta1", "0.3",
+                              "--delta2", "0.6", "--grid-points", "1000000000000000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 NEAR_IDENTITY = ["--family", "potts", "--q", "2", "--beta", "20"]
 
 

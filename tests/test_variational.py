@@ -28,7 +28,9 @@ from treerecon.variational import (
     MIN_GRID_POINTS,
     REFINE_STEPS,
     _near_center,
+    _potts_q2,
     _potts_rows,
+    _ratio_q2,
     _ratio_rows,
     _softmax_objective,
     _starts,
@@ -118,7 +120,7 @@ def test_zero_information_channel(quick_config):
 def test_potts_reduction_q2():
     # tanh^2(beta) = tanh(beta) * cbar forces cbar = tanh(beta)
     for beta in (0.4, 1.1):
-        assert abs(potts_cbar(2, beta) - math.tanh(beta)) <= 1e-6
+        assert abs(potts_cbar(2, beta) - math.tanh(beta)) <= 1e-15 * math.tanh(beta)
 
 
 def test_potts_overflow_is_a_validation_error():
@@ -230,8 +232,10 @@ def test_guard_rows_stay_below_near_center_limit(delta1, delta2):
     for n in (MIN_GRID_POINTS, OptimizerConfig().grid_points):
         grid = np.linspace(1e-9, 1.0 - 1e-9, n)
         t.append(grid[[np.argmin(np.abs(grid - a0))]])
+    R = _ratio_q2(ch, limit)
     for u in t:
         assert np.all(F(np.stack([u, 1.0 - u], axis=1)) <= limit * (1 + 1e-13))
+        assert np.all(R(u) <= limit * (1 + 1e-13))
 
 
 def _mp_ratio(p, a, rev):
@@ -274,11 +278,13 @@ def test_rows_objective_matches_mpmath_near_alpha():
             np.testing.assert_allclose(scalar, ref[far], rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("q, beta", [(3, 0.3), (3, 1.0), (4, 1.0), (5, 3.0), (8, 1.0)])
+@pytest.mark.parametrize("q, beta", [(2, 0.3), (2, 1.0), (3, 0.3), (3, 1.0), (4, 1.0),
+                                     (5, 3.0), (8, 1.0)])
 def test_potts_rows_match_mpmath_near_uniform(q, beta):
     # One heavy state: p = u + t (e_0 - u) for |t| = 1e-3 .. 1e-15, where
     # u is uniform.  With R = q p - 1 centred, F is sum R log1p(lam R) over
-    # sum R log1p(R), taking the stored e^{2 beta} as exact.
+    # sum R log1p(R), taking the stored e^{2 beta} as exact.  At q = 2 the
+    # closed form of p_0 alone must agree too.
     e2b = _potts_e2b(q, beta)
     lam = (e2b - 1.0) / (e2b + q - 1.0)
     t = np.array([s * 10.0 ** -e for e in range(3, 16) for s in (1.0, -1.0)])
@@ -295,6 +301,8 @@ def test_potts_rows_match_mpmath_near_uniform(q, beta):
             ref.append(float(mpmath.fsum(r * mpmath.log1p(mp_lam * r) for r in R)
                              / mpmath.fsum(r * mpmath.log1p(r) for r in R)))
     np.testing.assert_allclose(_potts_rows(q, lam)(P), ref, rtol=1e-15, atol=0)
+    if q == 2:
+        np.testing.assert_allclose(_potts_q2(lam)(P[:, 0]), ref, rtol=1e-15, atol=0)
 
 
 def _mp_stationary(m):
@@ -515,6 +523,92 @@ def test_q2_refinement_matches_scipy_bounded_search(d1, d2, tol):
         assert abs(res.value - ref) <= 1e-9
     else:
         assert abs(res.value - ref) <= tol * ref
+
+
+def _closed_form_panel():
+    """_q2_panel's channels, Ising from beta = 0.1 to 20 and a channel with
+    lam < 0."""
+    return ([binary_channel(d1, d2) for d1, d2, _ in _q2_panel()]
+            + [potts_channel(2, beta) for beta in (0.1, 1.0, 3.0, 20.0)]
+            + [binary_channel(0.9, 0.2)])
+
+
+def _mp_closed_form(ch, t):
+    """_ratio_q2 at t to 50 digits, the stored alpha and M_rev taken as exact
+    once the states are relabelled so that a = alpha_0 is the smaller entry:
+    lam g(lam s) / g(s) with lam = rev_00 - rev_10, s = t - a, b = 1 - a and
+    g(d) = log1p(d / a) - log1p(-d / b).  The stored M_rev is stochastic and
+    fixes alpha only up to rounding, which moves the mapped point by ~1e-17,
+    so where |lam s / (a (b - lam s))| >= 0.5, g(lam s) is log(t' b / (a u'))
+    at the product (t', u') = p M_rev, which keeps its relative accuracy
+    when that point nears a vertex (Ising at beta = 20)."""
+    a, rev, t = ch.stationary[0], ch.reversed, mpmath.mpf(float(t))
+    if a > ch.stationary[1]:
+        a, rev, t = ch.stationary[1], rev[::-1, ::-1], 1 - t
+    (r00, r01), (r10, r11) = [[mpmath.mpf(float(x)) for x in row] for row in rev]
+    a = mpmath.mpf(float(a))
+    b, lam = 1 - a, r00 - r10
+
+    def g(d):
+        return mpmath.log1p(d / a) - mpmath.log1p(-d / b)
+
+    d = lam * (t - a)
+    if abs(d / (a * (b - d))) < 0.5:
+        num = g(d)
+    else:
+        u = 1 - t
+        num = mpmath.log((t * r00 + u * r10) * b / (a * (t * r01 + u * r11)))
+    return lam * num / g(t - a)
+
+
+def test_q2_closed_form_matches_mpmath():
+    # At l1 distances 1e-3 .. 1e-15 from alpha on both sides, and at the
+    # ends of the grid, the closed form keeps full relative accuracy.
+    with mpmath.workdps(50):
+        for ch in _closed_form_panel():
+            a = ch.stationary[0]
+            t = np.array([a + 0.5 * x * 10.0 ** -e for e in range(3, 16) for x in (1.0, -1.0)]
+                         + [1e-9, 1.0 - 1e-9])
+            t = t[(t > 0.0) & (t < 1.0)]  # alpha within 5e-4 of a vertex
+            ref = [float(_mp_closed_form(ch, x)) for x in t]
+            np.testing.assert_allclose(_ratio_q2(ch, near_center_limit(ch))(t), ref,
+                                       rtol=1e-15, atol=0, err_msg=ch.label)
+
+
+def test_q2_closed_form_matches_rows_objective():
+    # The general rows objective, the q >= 3 objective, is the independent
+    # check of the closed form on the whole default grid.
+    t = np.linspace(1e-9, 1.0 - 1e-9, OptimizerConfig().grid_points)
+    P = np.stack([t, 1.0 - t], axis=1)
+    for ch in _closed_form_panel():
+        nc = near_center_limit(ch)
+        np.testing.assert_allclose(_ratio_q2(ch, nc)(t), _ratio_rows(ch, nc)(P),
+                                   rtol=1e-14, atol=0, err_msg=ch.label)
+
+
+def test_q2_symmetric_channels_stay_below_lam_squared():
+    # _ratio_q2's docstring proves R <= lam^2 on the whole simplex when
+    # a = 1/2.  Every default-grid value of binary(d, 1 - d) and of Ising
+    # obeys it up to rounding, and at 50 digits it holds exactly, for either
+    # sign of lam.
+    t = np.linspace(1e-9, 1.0 - 1e-9, OptimizerConfig().grid_points)
+    chans = [(binary_channel(d, 1.0 - d), 1.0 - 2.0 * d)
+             for d in np.arange(0.02, 0.5, 0.02).round(2)]
+    chans += [(potts_channel(2, beta), math.tanh(beta)) for beta in (0.1, 0.5, 1.0, 3.0, 20.0)]
+    for ch, lam in chans:
+        R = _ratio_q2(ch, near_center_limit(ch))(t)
+        assert np.all(R <= lam ** 2 * (1 + 1e-15)), ch.label
+    with mpmath.workdps(50):
+        half = mpmath.mpf(1) / 2
+
+        def g(d):
+            return mpmath.log1p(d / half) - mpmath.log1p(-d / half)
+
+        for lam in (*(1 - 2 * mpmath.mpf(d) for d in (0.02, 0.24, 0.48)),
+                    mpmath.tanh(20), mpmath.mpf(-0.7)):
+            for s in (0.4999999, 0.3, 1e-3, 1e-9, -1e-9, -1e-3, -0.3, -0.4999999):
+                s = mpmath.mpf(s)
+                assert lam * g(lam * s) / g(s) <= lam ** 2
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 20.0])
