@@ -366,11 +366,11 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
 def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
     """Best found (value, point, stats) of the objective F over the
     q-simplex, where stats holds the search's MethodTrace fields.  For q = 2
-    F maps a 1-d array of p_0 to values, and its grid refines its best 8 local maxima and its maximum in one batched
-    search, and counts its steps as iterations; q >= 3 runs all starts in one
-    batched Nelder-Mead, whose starts also perturb ``center``, then polishes
-    the winner.  Fewer than one start or iteration is a ValueError for
-    every q.
+    F maps a 1-d array of p_0 to values, and its grid refines its best 8
+    local maxima and its maximum in one batched search, and counts its
+    steps as iterations; q >= 3 runs all starts in one batched Nelder-Mead,
+    whose starts also perturb ``center``, then polishes the winner.  Fewer
+    than one start or iteration is a ValueError for every q.
     """
     if cfg.starts < 1:
         raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
