@@ -17,7 +17,9 @@ than the same call in (q, S) order; a block of _CHUNK rows keeps the
 temporaries small enough to stay in cache and to be reused instead of
 page-faulted in afresh.  The sum over states follows the order in which
 numpy's pairwise summation adds the q entries of a row, so the result is
-bit-identical to summing the (S, q) terms along axis 1.
+bit-identical to summing the (S, q) terms along axis 1.  The branches and
+the sum over states are _states_sum, which the q >= 3 search objective of
+variational also runs, once over a stack of both of its entropies.
 """
 
 from __future__ import annotations
@@ -113,14 +115,26 @@ def symmetrized_entropy_rows(P: np.ndarray, alpha: np.ndarray, M=None) -> np.nda
             d = B - a
             if M is not None:
                 d, B = Md @ d, Mt @ B
-            r = d / a
-            small = np.abs(r) < 0.5
-            # in place: r becomes d log1p(r), B becomes d (log p - log alpha)
-            np.log1p(r, out=r)
-            r *= d
-            np.log(B, out=B)
-            B -= log_a
-            B *= d
-            np.copyto(B, r, where=small)
-            L[s:s + _CHUNK] = pairwise_sum(B)
+            L[s:s + _CHUNK] = _states_sum(d, B, a, log_a)
     return L
+
+
+def _states_sum(d: np.ndarray, B: np.ndarray, a: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+    """The symmetrized-entropy terms summed over states, which run along
+    axis -2 of the states-major arrays d (deviations) and B (points), in
+    numpy's pairwise order: d log1p(d / alpha) where |d / alpha| < 0.5,
+    d (log B - log alpha) elsewhere.  a and log_a are alpha and its log
+    shaped (q, 1).  B is overwritten; call under
+    np.errstate(divide="ignore", invalid="ignore"), as log 0 = -inf and a
+    d below -alpha gives NaN in the log1p branch, which the other branch
+    then replaces."""
+    r = d / a
+    small = np.abs(r) < 0.5
+    # in place: r becomes d log1p(r), B becomes d (log p - log alpha)
+    np.log1p(r, out=r)
+    r *= d
+    np.log(B, out=B)
+    B -= log_a
+    B *= d
+    np.copyto(B, r, where=small)
+    return pairwise_sum(B.swapaxes(0, -2))

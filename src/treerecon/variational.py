@@ -18,9 +18,13 @@ s = t - alpha_0 and lam = M_00 + M_11 - 1; _maximize evaluates it on a grid
 of grid_points points (fewer than 100,001 are raised to 100,001) and refines
 the brackets of its best local maxima together (minimize_scalar; iterations
 counts its steps, evaluations the grid points plus one per bracket and
-step).  _ratio_rows, the general rows objective over an (S, q) array of
-beliefs, stays the q = 2 cross-check.  For q >= 3, F is _ratio_rows and
-_maximize runs multistart Nelder-Mead in softmax coordinates.
+step).  For q >= 3, _maximize runs multistart Nelder-Mead in softmax
+coordinates, whose softmax builds the beliefs as the columns of a
+states-major (q, n) array, and F is _ratio_cols, which takes those columns
+and runs both entropies through one pass of the entropy kernel's branches.
+_ratio_rows, the same objective over the rows of an (S, q) array through
+symmetrized_entropy_rows, is the reference that tests hold _ratio_cols to
+bit for bit, and the q = 2 cross-check.
 minimize advances the live starts together as one (live, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
 start, in start order.  A start leaves the array when it converges or
@@ -38,7 +42,8 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
-from .entropy import _CHUNK, symmetrized_entropy, symmetrized_entropy_rows
+from .entropy import (_CHUNK, _states_sum, pairwise_sum, symmetrized_entropy,
+                      symmetrized_entropy_rows)
 from .errors import BadDimension, CenterSingularity, NoConvergence
 
 CENTER_ATOL = 1e-12
@@ -151,6 +156,38 @@ def _ratio_rows(channel: Channel, nc_value: float):
     return F
 
 
+def _ratio_cols(channel: Channel, nc_value: float):
+    """_ratio_rows over the columns of a states-major (q, n) array B, bit
+    for bit, with both entropies in one pass of the kernel's branches.
+
+    The deviations d = B - alpha are mapped by the kernel's two matrices,
+    I - alpha 1^T and M_rev^T - alpha 1^T, one product each into a (2, q, n)
+    stack, beside B and M_rev^T B, so the branches, the sum over states and
+    the quotient run once over both.
+    """
+    a = channel.stationary[:, None]
+    log_a = np.log(a)
+    Mt = channel.reversed.T
+    proj_eye, proj_rev = np.eye(channel.q).T - a, Mt - a  # as the kernel forms them
+
+    def F(B: np.ndarray) -> np.ndarray:
+        d = B - a
+        D = np.empty((2, *B.shape))
+        E = np.empty((2, *B.shape))
+        np.matmul(proj_eye, d, out=D[0])
+        np.matmul(proj_rev, d, out=D[1])
+        E[0] = B
+        np.matmul(Mt, B, out=E[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den, r = _states_sum(D, E, a, log_a)
+            r /= den
+        r[~np.isfinite(r)] = 0.0
+        r[den == 0.0] = nc_value
+        return r
+
+    return F
+
+
 def _ratio_q2(channel: Channel, nc_value: float):
     """F(t) = L(p M_rev) / L(p) at p = (t, 1 - t), over a 1-d array of t, in
     closed form.
@@ -258,8 +295,9 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
     fs = f(s.reshape(-1, N)).reshape(S, N + 1)
     nfev = S * (N + 1)
     live = np.arange(S)  # original row of each live simplex in s, fs
-    i = live[:, None]
-    order = np.argsort(fs, axis=1)
+    rows = np.arange(S)  # position of each live simplex, kept until the live set changes
+    i = rows[:, None]
+    order = fs.argsort(axis=1)
     s, fs = s[i, order], fs[i, order]
     x_out, f_out = np.empty((S, N)), np.empty(S)
     nit = nit_sum = converged = 0
@@ -267,20 +305,25 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
         nit += 1
         if nit >= max_iters:
             leave = np.ones(len(live), dtype=bool)
+            n_leave = len(live)
         else:
             # fs is sorted, so fs[:, -1] - fs[:, 0] is max |fs[:, 0] - fs[:, j]|, NaN included
             leave = fs[:, -1] - fs[:, 0] <= fatol
-            if leave.any():
+            n_leave = np.count_nonzero(leave)
+            if n_leave:
                 leave[leave] = np.abs(s[leave, 1:] - s[leave, :1]).max(axis=(1, 2)) <= xatol
-                converged += int(leave.sum())
-        if leave.any():
+                n_leave = np.count_nonzero(leave)
+                converged += n_leave
+        if n_leave:
             gone = live[leave]
             x_out[gone], f_out[gone] = s[leave, 0], fs[leave, 0]
-            nit_sum += nit * len(gone)
-            live, s, fs = live[~leave], s[~leave], fs[~leave]
-            if live.size == 0:
+            nit_sum += nit * n_leave
+            if n_leave == len(live):
                 break
-            i = np.arange(len(live))[:, None]
+            stay = ~leave
+            live, s, fs = live[stay], s[stay], fs[stay]
+            rows = np.arange(len(live))
+            i = rows[:, None]
         trial = _XBAR_COEF * (np.add.reduce(s[:, :-1], 1) / N)[:, None] - _WORST_COEF * s[:, -1:]
         ft = f(trial.reshape(-1, N)).reshape(-1, 4)
         nfev += ft.size
@@ -290,11 +333,11 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
         outside = contract & (fr < fs[:, -1])
         take_c = outside & (fc <= fr)
         take_cc = contract & ~outside & (fcc < fs[:, -1])
-        shrink = contract & ~take_c & ~take_cc
-        pick = np.where(expand & (fe < fr), 1,
-                        np.where(take_c, 2, np.where(take_cc, 3, 0)))
-        if not shrink.any():
-            s[:, -1], fs[:, -1] = trial[i[:, 0], pick], ft[i[:, 0], pick]
+        shrink = contract & ~(take_c | take_cc)
+        # the four cases are disjoint: 0 reflection, 1 expansion, 2 and 3 contraction
+        pick = (expand & (fe < fr)) + 2 * take_c + 3 * take_cc
+        if not np.count_nonzero(shrink):
+            s[:, -1], fs[:, -1] = trial[rows, pick], ft[rows, pick]
         else:
             m = ~shrink
             s[m, -1], fs[m, -1] = trial[m, pick[m]], ft[m, pick[m]]
@@ -303,7 +346,7 @@ def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
             s[shrink] = b
             fs[shrink, 1:] = f(b[:, 1:].reshape(-1, N)).reshape(-1, N)
             nfev += b.shape[0] * N
-        order = np.argsort(fs, axis=1)
+        order = fs.argsort(axis=1)
         s, fs = s[i, order], fs[i, order]
     best = int(np.argmin(f_out))
     return SearchResult(x=x_out[best], fun=float(f_out[best]), nit=nit_sum, nfev=nfev,
@@ -338,9 +381,18 @@ def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:
 
 
 def _softmax_objective(F):
-    """-F in softmax coordinates: row x of X stands for softmax([x, 0])."""
+    """-F in softmax coordinates: row x of X stands for softmax([x, 0]),
+    which F takes as a column of a states-major (q, n) array.  The column
+    max, exp and pairwise sum over states give _softmax's rows bit for bit."""
     def f(X: np.ndarray) -> np.ndarray:
-        return -F(_softmax(np.concatenate([X, np.zeros((len(X), 1))], axis=1)))
+        Z = np.empty((X.shape[1] + 1, len(X)))
+        Z[:-1] = X.T
+        Z[-1] = 0.0
+        Z -= Z.max(axis=0)
+        np.exp(Z, out=Z)
+        Z /= pairwise_sum(Z)
+        r = F(Z)
+        return np.negative(r, out=r)
     return f
 
 
@@ -427,7 +479,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    F = (_ratio_q2 if channel.q == 2 else _ratio_rows)(channel, nc_value)
+    F = (_ratio_q2 if channel.q == 2 else _ratio_cols)(channel, nc_value)
     best_v, best_p, stats = _maximize(F, channel.q, a, cfg)
 
     near_wins = nc_value >= best_v
@@ -444,17 +496,19 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
-def _potts_rows(q: int, lam: float):
-    """potts_cbar's objective over the rows of P.  With R = q p - 1 centred,
-    log(q (p M)_i) = log1p(lam R_i) for the Potts channel M, so the numerator
-    is sum R log1p(lam R) and both factors of every term vanish together at
-    the uniform vector; F is lam there exactly and 0 on the boundary."""
+def _potts_cols(q: int, lam: float):
+    """potts_cbar's objective over the columns of a states-major (q, n)
+    array P.  With R = q p - 1 centred, log(q (p M)_i) = log1p(lam R_i) for
+    the Potts channel M, so the numerator is sum R log1p(lam R) and both
+    factors of every term vanish together at the uniform vector; F is lam
+    there exactly and 0 on the boundary.  The mean and both sums over states
+    are pairwise sums, numpy's order along a row."""
     def F(P: np.ndarray) -> np.ndarray:
         R = q * P - 1.0
-        R = R - R.mean(axis=1, keepdims=True)
+        R -= pairwise_sum(R) / q
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = (R * np.log1p(R)).sum(axis=1)
-            r = (R * np.log1p(lam * R)).sum(axis=1) / den
+            den = pairwise_sum(R * np.log1p(R))
+            r = pairwise_sum(R * np.log1p(lam * R)) / den
         r[~np.isfinite(r)] = 0.0
         r[den == 0.0] = lam
         return r
@@ -463,7 +517,7 @@ def _potts_rows(q: int, lam: float):
 
 
 def _potts_q2(lam: float):
-    """_potts_rows at q = 2 as a function of t = p_0: with r = 2 t - 1 its
+    """_potts_cols at q = 2 as a function of t = p_0: with r = 2 t - 1 its
     terms are r log1p(lam r) and -r log1p(-lam r), so F = atanh(lam r) /
     atanh(r), lam at r = 0 and 0 on the boundary."""
     def F(t: np.ndarray) -> np.ndarray:
@@ -492,6 +546,6 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> fl
     cfg = config or OptimizerConfig()
     e2b = _potts_e2b(q, beta)
     lam = (e2b - 1.0) / (e2b + q - 1.0)
-    F = _potts_q2(lam) if q == 2 else _potts_rows(q, lam)
+    F = _potts_q2(lam) if q == 2 else _potts_cols(q, lam)
     best_v = _maximize(F, q, np.full(q, 1.0 / q), cfg)[0]
     return float(max(best_v, lam))

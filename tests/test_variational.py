@@ -28,10 +28,12 @@ from treerecon.variational import (
     MIN_GRID_POINTS,
     REFINE_STEPS,
     _near_center,
+    _potts_cols,
     _potts_q2,
-    _potts_rows,
+    _ratio_cols,
     _ratio_q2,
     _ratio_rows,
+    _softmax,
     _softmax_objective,
     _starts,
     minimize,
@@ -195,25 +197,100 @@ def test_convexity_quick():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_rows_objective_matches_scalar_ratio(q):
-    # The search evaluates the batched objective; ratio() is the scalar
-    # definition.  Batched products round differently, so compare within
-    # 1e-12 relative rather than bitwise.
+    # The search evaluates the batched objective over the columns of a
+    # states-major array; ratio() is the scalar definition.  Batched
+    # products round differently, so compare within 1e-12 relative rather
+    # than bitwise.  The rows objective reads the same bits on the rows.
     rng = np.random.default_rng(40 + q)
     ch = make_channel(0.8 * rng.dirichlet(np.ones(q), size=q) + 0.2 / q)
-    F = _ratio_rows(ch, near_center_limit(ch))
+    F = _ratio_cols(ch, near_center_limit(ch))
     P = rng.dirichlet(np.ones(q), size=4000)
     scalar = np.array([ratio(p, ch) for p in P])
-    np.testing.assert_allclose(F(P), scalar, rtol=1e-12, atol=0)
-    single = np.array([F(p[None])[0] for p in P[:500]])
+    batch = F(P.T.copy())
+    np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0)
+    assert batch.tobytes() == _ratio_rows(ch, near_center_limit(ch))(P).tobytes()
+    single = np.array([F(p[:, None])[0] for p in P[:500]])
     np.testing.assert_allclose(single, scalar[:500], rtol=1e-12, atol=0)
     # the limit at alpha itself, a value below it nearby; vertices lie on
     # the boundary
     a = ch.stationary
     v = rng.standard_normal(q)
-    near = F(np.array([a, a + 1e-10 * (v - v.mean())]))
+    near = F(np.array([a, a + 1e-10 * (v - v.mean())]).T.copy())
     assert near[0] == near_center_limit(ch)
     assert 0.0 <= near[1] <= near[0] * (1 + 1e-9)
     assert np.all(F(np.eye(q)) == 0.0)
+
+
+def _cross_beliefs(ch, rng, n):
+    """The first n of these beliefs of ch, as rows: alpha exactly,
+    alpha + 1e-10 v with sum v = 0, a vertex (on the boundary), then
+    Dirichlet points."""
+    a = ch.stationary
+    v = rng.standard_normal(ch.q)
+    special = [a, a + 1e-10 * (v - v.mean()), np.eye(ch.q)[0]]
+    return np.array([*special, *rng.dirichlet(np.ones(ch.q), size=n)])[:n]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+def test_cols_objective_matches_rows_objective_bitwise(q):
+    # The search's column objective, softmax included, against the rows
+    # objective composed with the row softmax; and on given beliefs, alpha
+    # itself (the near-center limit), 1e-10 from it and the boundary (0).
+    rng = np.random.default_rng(90 + q)
+    ch = _random_channel(q, 80 + q)
+    nc = near_center_limit(ch)
+    cols, rows = _ratio_cols(ch, nc), _ratio_rows(ch, nc)
+    f = _softmax_objective(cols)
+    for n in (1, 4, 14, 64):
+        X = rng.normal(0.0, 2.0, size=(n, q - 1))
+        X[0, :2] = (800.0, -800.0)  # one entry underflows to 0: F = 0
+        want = -rows(_softmax(np.concatenate([X, np.zeros((n, 1))], axis=1)))
+        got = f(X)
+        assert got.tobytes() == want.tobytes(), n
+        assert got[0] == 0.0
+        P = _cross_beliefs(ch, rng, n)
+        got = cols(P.T.copy())
+        assert got.tobytes() == rows(P).tobytes(), n
+        assert got[0] == nc
+        if n >= 3:
+            assert got[2] == 0.0 and 0.0 < got[1] <= nc * (1 + 1e-9)
+
+
+def test_cols_objective_is_columnwise_at_q3():
+    # At q = 3 a column alone reads the same bits as inside a batch, which
+    # the bitwise comparison of the batched Nelder-Mead with scipy needs.
+    ch = _random_channel(3, 60)
+    f = _softmax_objective(_ratio_cols(ch, near_center_limit(ch)))
+    X = np.random.default_rng(5).normal(0.0, 2.0, size=(200, 2))
+    batch = f(X)
+    assert np.array([f(x[None])[0] for x in X]).tobytes() == batch.tobytes()
+
+
+def _potts_row_form(q, lam, P):
+    """The reduced Potts objective over the rows of P, in numpy's row order."""
+    R = q * P - 1.0
+    R = R - R.mean(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = (R * np.log1p(R)).sum(axis=1)
+        r = (R * np.log1p(lam * R)).sum(axis=1) / den
+    r[~np.isfinite(r)] = 0.0
+    r[den == 0.0] = lam
+    return r
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+def test_potts_cols_match_row_form_bitwise(q):
+    # uniform exactly (lam), near it, a vertex (0) and Dirichlet points
+    e2b = _potts_e2b(q, 1.0)
+    lam = (e2b - 1.0) / (e2b + q - 1.0)
+    rng = np.random.default_rng(q)
+    u = np.full(q, 1.0 / q)
+    v = rng.standard_normal(q)
+    P = np.array([u, u + 1e-10 * (v - v.mean()), np.eye(q)[0],
+                  *rng.dirichlet(np.ones(q), size=61)])
+    got = _potts_cols(q, lam)(P.T.copy())
+    assert got.tobytes() == _potts_row_form(q, lam, P).tobytes()
+    assert got[0] == lam and got[2] == 0.0
 
 
 @pytest.mark.parametrize("delta1, delta2", [
@@ -300,7 +377,7 @@ def test_potts_rows_match_mpmath_near_uniform(q, beta):
             R = [q * (x - s) for x in d]
             ref.append(float(mpmath.fsum(r * mpmath.log1p(mp_lam * r) for r in R)
                              / mpmath.fsum(r * mpmath.log1p(r) for r in R)))
-    np.testing.assert_allclose(_potts_rows(q, lam)(P), ref, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_potts_cols(q, lam)(P.T.copy()), ref, rtol=1e-15, atol=0)
     if q == 2:
         np.testing.assert_allclose(_potts_q2(lam)(P[:, 0]), ref, rtol=1e-15, atol=0)
 
@@ -406,7 +483,7 @@ def _random_channel(q, seed):
 
 def _channel_case(ch):
     """compute_c's objective and starts for channel ch."""
-    f = _softmax_objective(_ratio_rows(ch, near_center_limit(ch)))
+    f = _softmax_objective(_ratio_cols(ch, near_center_limit(ch)))
     return f, _starts(ch.q, ch.stationary, CROSS_CFG)
 
 
