@@ -432,7 +432,8 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
         r = F(t)
-        interior = np.where((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
+        # strict on the left, so that a plateau gives one candidate
+        interior = np.where((r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
         order = np.argsort(r[interior], kind="stable")
         top = int(np.argmax(r))
         cand = np.union1d(interior[order][-8:], top)

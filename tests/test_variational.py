@@ -602,6 +602,17 @@ def test_q2_refinement_matches_scipy_bounded_search(d1, d2, tol):
         assert abs(res.value - ref) <= tol * ref
 
 
+@pytest.mark.parametrize("ch", [potts_channel(2, 0.5), potts_channel(2, 1.7862),
+                                binary_channel(0.3, 0.7), binary_channel(0.3, 0.1)],
+                         ids=lambda ch: ch.label)
+def test_q2_grid_refines_one_bracket_per_plateau(ch):
+    # On a symmetric channel the two points of the default (even) grid
+    # nearest alpha = 1/2 tie; the local-maximum test must take only one of
+    # them, so one bracket is refined here, as for binary(0.3, 0.1).
+    trace = compute_c(ch).trace
+    assert trace.evaluations - trace.grid_points == REFINE_STEPS
+
+
 def _closed_form_panel():
     """_q2_panel's channels, Ising from beta = 0.1 to 20 and a channel with
     lam < 0."""
