@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -259,7 +260,7 @@ def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser, func, view: View, *,
-                     default_format: str) -> None:
+                     default_format: str | None = None) -> None:
     formats = ("json", "csv", "table") if view.columns else ("json", "table")
     p.add_argument("--format", choices=formats, default=default_format)
     p.add_argument("--threads", type=int, default=1,
@@ -447,26 +448,24 @@ def build_parser() -> _Parser:
                      description="Non-reconstruction constants and broadcast "
                                  "simulations for Markov channels on trees.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    # constants and tables print as a table on a terminal, CSV when piped
-    shown = "table" if sys.stdout.isatty() else "csv"
 
     p = sub.add_parser("c-of-m", help="variational constant c(M) of a channel")
     _add_channel_args(p)
     _add_optimizer_args(p)
-    _add_common_args(p, _cmd_c_of_m, C_OF_M, default_format=shown)
+    _add_common_args(p, _cmd_c_of_m, C_OF_M)
 
     p = sub.add_parser("bounds", help="bound constants and verdicts at a "
                                       "branching number")
     _add_channel_args(p)
     _add_optimizer_args(p)
-    _add_common_args(p, _cmd_bounds, BOUNDS, default_format=shown)
+    _add_common_args(p, _cmd_bounds, BOUNDS)
     p.add_argument("--branching", type=float, default=None,
                    help="branching number d for verdicts")
 
     p = sub.add_parser("table1", help="bound table for two-state channels "
                                       "over a delta2 grid")
     _add_optimizer_args(p)
-    _add_common_args(p, _cmd_table1, TABLE1, default_format=shown)
+    _add_common_args(p, _cmd_table1, TABLE1)
     p.add_argument("--delta1", type=float, default=0.3)
     p.add_argument("--delta2-list", metavar="P1,P2,...",
                    help="comma-separated delta2 values (default: standard grid)")
@@ -502,8 +501,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
@@ -513,7 +517,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--threads must be >= 0, got {args.threads}")
         path = getattr(args, "from_file", None)
         report = _load(path, args.command, args.view) if path else args.func(args)
-        print(render(report, args.view, args.format))
+        # constants and tables print as a table on a terminal, CSV when piped
+        shown = args.format or ("table" if sys.stdout.isatty() else "csv")
+        print(render(report, args.view, shown))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

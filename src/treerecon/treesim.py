@@ -7,7 +7,10 @@ depth has at least one child, so the leaves are exactly the last level.
 
 Several trees can share one layout as a forest: level 0 then holds S roots,
 and the trees' nodes interleave level by level.  Broadcasting and the upward
-recursion treat every root alike, so S trees cost one pass.
+recursion treat every root alike, so S trees cost one pass.  One sampler
+grows every tree or forest, regular or Galton-Watson, level by level, and
+checks each tree's size against the node budget before it allocates the
+level.
 
 Monte Carlo estimates split the samples into chunks of ``_chunk_size``
 samples, a size fixed by the tree's (expected) node count alone, and chunk c
@@ -177,34 +180,30 @@ def _assemble(counts_by_level: list[np.ndarray], depth: int,
     )
 
 
-def _regular_tree(degree: int, depth: int, max_nodes: int) -> SampledTree:
-    total, width = 1, 1
-    for _ in range(depth):
-        width *= degree
-        total += width
-        if total > max_nodes:
-            raise TreeTooLarge(f"regular(d={degree}) depth {depth} exceeds "
-                               f"{max_nodes} nodes")
-    counts = [np.full(degree ** k, degree, dtype=np.int64) for k in range(depth)]
-    return _assemble(counts, depth)
-
-
-def _sample_gw(spec: TreeSpec, rng: np.random.Generator, max_nodes: int,
-               roots: int = 1) -> SampledTree:
-    """Draw ``roots`` i.i.d. Galton-Watson trees as one forest, level by
-    level; each tree on its own must stay within max_nodes."""
-    cum = np.cumsum(np.asarray(spec.pmf))
-    cum[-1] = 1.0
+def _sample_forest(spec: TreeSpec, rng: np.random.Generator, max_nodes: int,
+                   roots: int = 1) -> SampledTree:
+    """Grow ``roots`` i.i.d. trees as one forest, level by level: a regular
+    spec draws nothing, a Galton-Watson spec draws every count.  Each tree on
+    its own must stay within max_nodes, checked before a level is allocated."""
+    if spec.kind == "gw":
+        cum = np.cumsum(np.asarray(spec.pmf))
+        cum[-1] = 1.0
     counts_by_level = []
     owner = np.arange(roots)  # the tree of each node at the current level
-    sizes = np.ones(roots, dtype=np.int64)
+    sizes = np.ones(roots)
     for _ in range(spec.depth):
-        u = rng.random(owner.size)
-        counts = np.searchsorted(cum, u, side="right").astype(np.int64) + 1
+        if spec.kind == "regular":
+            # max_nodes children already break the budget, and the cap keeps
+            # a huge degree inside int64
+            counts = np.full(owner.size, min(spec.degree, max_nodes), dtype=np.int64)
+        else:
+            u = rng.random(owner.size)
+            counts = np.searchsorted(cum, u, side="right").astype(np.int64) + 1
+        sizes += np.bincount(owner, weights=counts, minlength=roots)
+        if float(sizes.max()) > max_nodes:
+            raise TreeTooLarge(f"{spec.kind} tree of depth {spec.depth} exceeds "
+                               f"{max_nodes} nodes")
         owner = np.repeat(owner, counts)
-        sizes += np.bincount(owner, minlength=roots)
-        if int(sizes.max()) > max_nodes:
-            raise TreeTooLarge(f"sampled tree exceeds {max_nodes} nodes")
         counts_by_level.append(counts)
     return _assemble(counts_by_level, spec.depth, roots)
 
@@ -212,11 +211,9 @@ def _sample_gw(spec: TreeSpec, rng: np.random.Generator, max_nodes: int,
 def sample_tree(spec: TreeSpec, seed=None, *, rng: np.random.Generator | None = None,
                 max_nodes: int = DEFAULT_MAX_NODES) -> SampledTree:
     """Draw one tree; regular specs are deterministic and consume no randomness."""
-    if spec.kind == "regular":
-        return _regular_tree(spec.degree, spec.depth, max_nodes)
     if rng is None:
         rng = np.random.default_rng(seed)
-    return _sample_gw(spec, rng, max_nodes)
+    return _sample_forest(spec, rng, max_nodes)
 
 
 def _broadcast_from_uniforms(tree: SampledTree, channel: Channel,
@@ -227,20 +224,16 @@ def _broadcast_from_uniforms(tree: SampledTree, channel: Channel,
     n_samples, n = u.shape
     if n != tree.n_nodes:
         raise TreeError(f"need {tree.n_nodes} uniforms per sample, got {n}")
-    q = channel.q
     lv = tree.level_ptr
     spins = np.empty((n_samples, n), dtype=np.int64)
-    cum_alpha = np.cumsum(channel.stationary)
-    cum_alpha[-1] = 1.0
-    roots = slice(0, int(lv[1]))
-    spins[:, roots] = np.minimum(
-        np.searchsorted(cum_alpha, u[:, roots], side="right"), q - 1)
-    # A child's spin is the number of its parent row's partial sums that do
-    # not exceed its uniform; the last partial sum is 1 and never counts.
-    cum_cols = np.cumsum(channel.matrix, axis=1).T[:-1].copy()
-    for k in range(1, tree.depth + 1):
+    # A node's spin is the number of its parent row's partial sums that do
+    # not exceed its uniform; the last, 1 up to rounding, is left out as
+    # u < 1.  Row q is alpha, the virtual parent row of the roots (parent -1).
+    rows = np.vstack([channel.matrix, channel.stationary])
+    cum_cols = np.cumsum(rows, axis=1).T[:-1].copy()
+    for k in range(tree.depth + 1):
         lo, hi = int(lv[k]), int(lv[k + 1])
-        parent_spins = spins[:, tree.parent[lo:hi]]
+        parent_spins = spins[:, tree.parent[lo:hi]] if k else -1
         level_u = u[:, lo:hi]
         idx = spins[:, lo:hi]
         idx[...] = cum_cols[0][parent_spins] <= level_u
@@ -267,12 +260,8 @@ def leaf_beliefs(tree: SampledTree, config: np.ndarray, q: int) -> dict:
                         f"{tree.n_nodes} nodes")
     if np.any(config < 0) or np.any(config >= q):
         raise TreeError(f"spins must lie in 0..{q - 1}")
-    out = {}
-    for v in tree.leaves:
-        row = np.zeros(q)
-        row[int(config[v])] = 1.0
-        out[int(v)] = _readonly(row)
-    return out
+    rows = _readonly(_one_hot(config[tree.leaves].astype(np.int64), q))
+    return {int(v): row for v, row in zip(tree.leaves, rows)}
 
 
 def _one_hot(spins: np.ndarray, q: int) -> np.ndarray:
@@ -422,7 +411,7 @@ def mc_root_entropy(spec: TreeSpec, channel: Channel, samples: int, seed: int = 
         return replace(est, mode=mode)
 
     def values_of(rng: np.random.Generator, count: int) -> np.ndarray:
-        forest = _sample_gw(spec, rng, max_nodes, roots=count)
+        forest = _sample_forest(spec, rng, max_nodes, roots=count)
         return _root_entropy_values(forest, channel, rng.random((1, forest.n_nodes)))
 
     expected_nodes = width = 1.0

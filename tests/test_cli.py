@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import warnings
 
 import pytest
 
+import treerecon.cli
 from treerecon.variational import MIN_GRID_POINTS
 
 QUICK = ["--starts", "8", "--grid-points", "50001"]
@@ -83,6 +86,32 @@ def test_c_of_m_csv_format(run_cli):
     assert abs(float(value) - 0.0579) <= 5e-4
     assert abs(float(limit) - 0.04) <= 1e-5
     assert flag == "false"
+
+
+class _Stdout(io.StringIO):
+    def __init__(self, tty: bool):
+        super().__init__()
+        self.tty = tty
+
+    def isatty(self) -> bool:
+        return self.tty
+
+
+@pytest.mark.parametrize("ttys", [(True, False), (False, True)])
+def test_default_format_follows_the_terminal_of_each_call(ttys):
+    # without --format, c-of-m prints a table on a terminal and CSV when
+    # piped, decided at every call of one process
+    argv = ["c-of-m", "--family", "potts", "--q", "2", "--beta", "0.5", *QUICK]
+    for tty in ttys:
+        out = _Stdout(tty)
+        with contextlib.redirect_stdout(out):
+            assert treerecon.cli.main(argv) == 0
+        first = out.getvalue().splitlines()[0]
+        if tty:
+            assert first != "value,near_center_limit,near_center_is_max"
+            assert f"c = {math.tanh(0.5) ** 2:.6f}" in out.getvalue()
+        else:
+            assert first == "value,near_center_limit,near_center_is_max"
 
 
 def test_c_of_m_channel_json_inline_and_file(run_cli, tmp_path):

@@ -26,7 +26,7 @@ from treerecon import (
 )
 from treerecon.oracle import (DEFAULT_BUDGET, _fold_law, _random_small_tree,
                               _subtree_nodes)
-from treerecon.treesim import _sample_gw
+from treerecon.treesim import _sample_forest
 
 WITNESS_TREE = [[2], [2, 2]]
 
@@ -91,7 +91,7 @@ def test_subtree_nodes_match_children_walk():
     gw = TreeSpec.galton_watson({1: 0.4, 2: 0.3, 3: 0.3}, 4)
     trees = [sample_tree(TreeSpec.regular(3, 3)),
              sample_tree(gw, rng=np.random.default_rng(2)),
-             _sample_gw(gw, np.random.default_rng(5), 10_000, roots=4)]
+             _sample_forest(gw, np.random.default_rng(5), 10_000, roots=4)]
     for tree in trees:
         for v in range(tree.n_nodes):
             assert _subtree_nodes(tree, v).tolist() == _children_walk(tree, v)

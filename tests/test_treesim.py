@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from treerecon import (
 )
 from treerecon.entropy import symmetrized_entropy_rows
 from treerecon.oracle import enumerate_boundary_laws
-from treerecon.treesim import _assemble, _chunk_size, _sample_gw, _upward
+from treerecon.treesim import (_assemble, _broadcast_from_uniforms, _chunk_size,
+                               _sample_forest, _upward)
 
 
 def test_spec_regular_validation():
@@ -108,11 +110,15 @@ def test_gw_sampling_bounds_and_determinism():
     b = sample_tree(spec, seed=5)
     np.testing.assert_array_equal(a.parent, b.parent)
     np.testing.assert_array_equal(a.child_ptr, b.child_ptr)
-    # regular specs ignore the seed entirely
+    # regular specs ignore the seed entirely and draw nothing from a given rng
     np.testing.assert_array_equal(
         sample_tree(TreeSpec.regular(2, 2), seed=1).parent,
         sample_tree(TreeSpec.regular(2, 2), seed=99).parent,
     )
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert sample_tree(TreeSpec.regular(3, 3), rng=rng).n_nodes == 40
+    assert rng.bit_generator.state == state
 
 
 def test_tree_too_large():
@@ -120,6 +126,23 @@ def test_tree_too_large():
         sample_tree(TreeSpec.regular(2, 3), max_nodes=10)
     with pytest.raises(TreeTooLarge):
         sample_tree(TreeSpec.galton_watson({3: 1.0}, 4), seed=0, max_nodes=20)
+    with pytest.raises(TreeTooLarge):  # a degree beyond int64
+        sample_tree(TreeSpec.regular(10 ** 20, 2))
+
+
+@pytest.mark.parametrize("spec", [TreeSpec.galton_watson({99: 1.0}, 3),
+                                  TreeSpec.regular(99, 3)])
+def test_node_budget_is_checked_before_a_level_is_allocated(spec):
+    # level 3 holds 970,299 nodes (7.8 MB of int64 per array); the budget of
+    # 10,000 nodes is 0.08 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeTooLarge, match="exceeds 10000 nodes"):
+            sample_tree(spec, seed=0, max_nodes=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_tree_from_level_counts_validation():
@@ -153,6 +176,24 @@ def test_broadcast_joint_law(binary_0301):
             assert abs(freq[i, j] - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_root_spins_match_the_clamped_searchsorted_draw(q):
+    # the roots take the children's comparison rule on the row alpha; the
+    # reference is the inverse CDF by searchsorted, clamped to q - 1
+    tree = sample_tree(TreeSpec.regular(1, 1))
+    for ch in (potts_channel(q, 0.7),
+               make_channel(np.random.default_rng(q).dirichlet(np.ones(q), size=q))):
+        cum = np.cumsum(ch.stationary)
+        cum[-1] = 1.0
+        u = [0.0, 1.0 - 2.0 ** -53]
+        for c in cum[:-1]:
+            u += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+        u = np.array(u)
+        spins = _broadcast_from_uniforms(tree, ch, np.column_stack([u, u]))[:, 0]
+        reference = np.minimum(np.searchsorted(cum, u, side="right"), q - 1)
+        np.testing.assert_array_equal(spins, reference)
+
+
 def test_broadcast_shape_and_determinism():
     tree = sample_tree(TreeSpec.regular(2, 2))
     ch = potts_channel(3, 0.7)
@@ -173,6 +214,7 @@ def test_leaf_beliefs(binary_0301):
         assert row.shape == (3,)
         assert row.sum() == 1.0
         assert row[config[v]] == 1.0
+        assert not row.flags.writeable
     with pytest.raises(TreeError):
         leaf_beliefs(tree, config[:-1], 3)
     with pytest.raises(TreeError):
@@ -357,7 +399,7 @@ def _forest(trees):
 def test_forest_of_one_tree_matches_belief_recursion():
     ch = potts_channel(3, 0.8)
     spec = TreeSpec.galton_watson((0.4, 0.3, 0.3), 3)
-    forest = _sample_gw(spec, np.random.default_rng(4), 10_000, roots=1)
+    forest = _sample_forest(spec, np.random.default_rng(4), 10_000, roots=1)
     tree = sample_tree(spec, rng=np.random.default_rng(4))
     rows = np.random.default_rng(5).dirichlet((1.0, 1.0, 1.0), size=tree.n_leaves)
     out = belief_recursion(tree, ch, {int(v): rows[i] for i, v in enumerate(tree.leaves)})
@@ -421,16 +463,16 @@ def test_annealed_mean_matches_exact_expectation(binary_0301, depth):
 
 def test_tree_too_large_is_checked_per_tree():
     spec = TreeSpec.galton_watson({1: 0.5, 3: 0.5}, 3)  # trees of 4..40 nodes
-    forest = _sample_gw(spec, np.random.default_rng(1), 40, roots=200)
+    forest = _sample_forest(spec, np.random.default_rng(1), 40, roots=200)
     owner = np.arange(forest.n_nodes)
     for v in range(200, forest.n_nodes):  # parents precede children
         owner[v] = owner[forest.parent[v]]
     largest = int(np.bincount(owner).max())
     assert largest < forest.n_nodes
-    again = _sample_gw(spec, np.random.default_rng(1), largest, roots=200)
+    again = _sample_forest(spec, np.random.default_rng(1), largest, roots=200)
     assert again.n_nodes == forest.n_nodes
     with pytest.raises(TreeTooLarge):
-        _sample_gw(spec, np.random.default_rng(1), largest - 1, roots=200)
+        _sample_forest(spec, np.random.default_rng(1), largest - 1, roots=200)
     fixed = TreeSpec.galton_watson({3: 1.0}, 4)  # 121 nodes per tree
     ch = potts_channel(2, 0.5)
     assert mc_root_entropy(fixed, ch, samples=100, seed=2, max_nodes=121).samples == 100
