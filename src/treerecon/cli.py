@@ -501,9 +501,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    return build_parser()
+_parser = functools.cache(build_parser)  # built on the first call of main
 
 
 def main(argv=None) -> int:
