@@ -12,16 +12,17 @@ That near-center value is always merged with the interior search, so the
 reported constant is max(near-center limit, best evaluated ratio).
 
 Each constant has one objective F, alpha and the boundary included, and
-one search, _maximize.  For q = 2, F maps a 1-d array of t = p_0 to values
-through the closed form R(s) = lam g(lam s) / g(s) of _ratio_q2, with
-s = t - alpha_0 and lam = M_00 + M_11 - 1; _maximize evaluates it on a grid
-of grid_points points (fewer than 100,001 are raised to 100,001) and refines
-the brackets of its best local maxima together (minimize_scalar; iterations
-counts its steps, evaluations the grid points plus one per bracket and
-step).  For q >= 3, _maximize runs multistart Nelder-Mead in softmax
-coordinates, whose softmax builds the beliefs as the columns of a
-states-major (q, n) array, and F is _ratio_cols, which takes those columns
-and runs both entropies through one pass of the entropy kernel's branches.
+one search, _maximize.  Two are 1-d closed forms over an array of t: c(M)
+at q = 2, R(s) = lam g(lam s) / g(s) of _ratio_q2 with s = t - alpha_0 and
+lam = M_00 + M_11 - 1, and potts_cbar's objective on the line
+p = (t, (1 - t) / (q - 1), ...) at every q.  _maximize evaluates them on a
+grid of grid_points points (fewer than 100,001 are raised to 100,001) and
+refines the brackets of its best local maxima together (minimize_scalar;
+iterations counts its steps, evaluations the grid points plus one per
+bracket and step).  For c(M) at q >= 3, _maximize runs multistart
+Nelder-Mead in softmax coordinates, whose softmax builds the beliefs as the
+columns of a states-major (q, n) array, and F is _ratio_cols, which runs
+both entropies through one pass of the entropy kernel's branches.
 _ratio_rows, the same objective over the rows of an (S, q) array through
 symmetrized_entropy_rows, is the reference that tests hold _ratio_cols to
 bit for bit, and the q = 2 cross-check.
@@ -44,11 +45,11 @@ from numpy.linalg import eigh
 from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
 from .entropy import (_CHUNK, _states_sum, pairwise_sum, symmetrized_entropy,
                       symmetrized_entropy_rows)
-from .errors import BadDimension, CenterSingularity, NoConvergence
+from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
 
 CENTER_ATOL = 1e-12
-MIN_GRID_POINTS = 100_001  # smaller q=2 grids are raised to this size
-REFINE_STEPS = 4  # parabolic steps of the q=2 refinement
+MIN_GRID_POINTS = 100_001  # smaller 1-d grids are raised to this size
+REFINE_STEPS = 4  # parabolic steps of the 1-d refinement
 FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
 # trial points A * xbar - B * worst: reflection, expansion, outside and inside contraction
 _XBAR_COEF = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
@@ -415,20 +416,20 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return X0
 
 
-def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
-    """Best found (value, point, stats) of the objective F over the
-    q-simplex, where stats holds the search's MethodTrace fields.  For q = 2
-    F maps a 1-d array of p_0 to values, and its grid refines its best 8
-    local maxima and its maximum in one batched search, and counts its
-    steps as iterations; q >= 3 runs all starts in one batched Nelder-Mead,
-    whose starts also perturb ``center``, then polishes the winner.  Fewer
-    than one start or iteration is a ValueError for every q.
+def _maximize(F, cfg: OptimizerConfig, center: np.ndarray | None = None):
+    """Best found (value, point, stats) of F, stats holding the MethodTrace
+    fields.  Without a center, F maps a 1-d array of t in (0, 1) to values,
+    the point is (t, 1 - t), and the grid refines its best 8 local maxima and
+    its maximum in one batched search that counts steps as iterations.  With
+    one, F is over the len(center)-simplex and every start, some perturbing
+    center, runs in one batched Nelder-Mead, which then polishes the winner.
+    Fewer than one start or iteration is a ValueError either way.
     """
     if cfg.starts < 1:
         raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
     if cfg.max_iters < 1:
         raise ValueError(f"optimizer max_iters must be >= 1, got {cfg.max_iters}")
-    if q == 2:
+    if center is None:
         n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
         t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
         r = F(t)
@@ -449,7 +450,7 @@ def _maximize(F, q: int, center: np.ndarray, cfg: OptimizerConfig):
         return best_v, np.array([best_t, 1.0 - best_t]), stats
 
     f = _softmax_objective(F)
-    X0 = _starts(q, center, cfg)
+    X0 = _starts(len(center), center, cfg)
     res = minimize(f, X0, cfg.max_iters, FATOL, 1e-10)
     if not res.success:
         raise NoConvergence("no optimizer start converged within the iteration budget")
@@ -481,7 +482,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     p_nc = _normalize_exact(a + eps * nc_dir)
 
     F = (_ratio_q2 if channel.q == 2 else _ratio_cols)(channel, nc_value)
-    best_v, best_p, stats = _maximize(F, channel.q, a, cfg)
+    best_v, best_p, stats = _maximize(F, cfg, None if channel.q == 2 else a)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
@@ -497,38 +498,27 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
-def _potts_cols(q: int, lam: float):
-    """potts_cbar's objective over the columns of a states-major (q, n)
-    array P.  With R = q p - 1 centred, log(q (p M)_i) = log1p(lam R_i) for
-    the Potts channel M, so the numerator is sum R log1p(lam R) and both
-    factors of every term vanish together at the uniform vector; F is lam
-    there exactly and 0 on the boundary.  The mean and both sums over states
-    are pairwise sums, numpy's order along a row."""
-    def F(P: np.ndarray) -> np.ndarray:
-        R = q * P - 1.0
-        R -= pairwise_sum(R) / q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = pairwise_sum(R * np.log1p(R))
-            r = pairwise_sum(R * np.log1p(lam * R)) / den
-        r[~np.isfinite(r)] = 0.0
-        r[den == 0.0] = lam
-        return r
+def _potts_line(q: int, lam: float):
+    """potts_cbar's objective at p = (t, (1 - t) / (q - 1), ...) over a 1-d
+    array of t, in blocks of _CHUNK points: with r = q t - 1, F = g(lam r) /
+    g(r), g(x) = log1p(x) - log1p(-x / (q - 1)), whose two logarithms have
+    opposite signs, so nothing cancels near uniform.  F is lam where g(r) is
+    exactly 0 and 0 where it is not finite, as on the boundary."""
+    def g(x):
+        return np.log1p(x) - np.log1p(x / (1.0 - q))
 
-    return F
-
-
-def _potts_q2(lam: float):
-    """_potts_cols at q = 2 as a function of t = p_0: with r = 2 t - 1 its
-    terms are r log1p(lam r) and -r log1p(-lam r), so F = atanh(lam r) /
-    atanh(r), lam at r = 0 and 0 on the boundary."""
     def F(t: np.ndarray) -> np.ndarray:
-        r = 2.0 * t - 1.0
+        out = np.empty(len(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = np.arctanh(r)
-            f = np.arctanh(lam * r) / den
-        f[~np.isfinite(f)] = 0.0
-        f[den == 0.0] = lam
-        return f
+            for i in range(0, len(t), _CHUNK):
+                r = q * t[i:i + _CHUNK] - 1.0
+                den = g(r)
+                f = g(lam * r)
+                f /= den
+                f[~np.isfinite(f)] = 0.0
+                f[den == 0.0] = lam
+                out[i:i + _CHUNK] = f
+        return out
 
     return F
 
@@ -540,13 +530,21 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> fl
         -------------------------------------------------
         sum_i (q p_i - 1) log(q p_i)
 
-    The product of this value with (e^{2 beta} - 1) / (e^{2 beta} + q - 1)
-    equals c of the Potts channel.  Its limit at the uniform vector is that
-    same prefactor, independent of direction, and is merged into the result.
+    Its product with lam = (e^{2 beta} - 1) / (e^{2 beta} + q - 1) is c of
+    the Potts channel for beta >= 0; beta < 0 (lam < 0, where that identity
+    fails) raises ChannelError, and beta = 0 gives 0.0.  Its limit at the
+    uniform vector is lam in every direction, and is merged in.
+
+    The supremum lies on the one-heavy line of _potts_line (proof in
+    README.md, "Potts constants", from the Lagrange condition on
+    sum_i phi(q p_i - 1)).  _maximize searches it by its grid and refinement:
+    grid_points sets the grid, starts and max_iters are validated but
+    unused.  The value is the best found on the line, not a certified bound;
+    compute_c on the full q-state channel is the independent cross-check.
     """
-    cfg = config or OptimizerConfig()
     e2b = _potts_e2b(q, beta)
+    if beta < 0:
+        raise ChannelError(f"potts_cbar needs beta >= 0, got {beta!r}")
     lam = (e2b - 1.0) / (e2b + q - 1.0)
-    F = _potts_q2(lam) if q == 2 else _potts_cols(q, lam)
-    best_v = _maximize(F, q, np.full(q, 1.0 / q), cfg)[0]
-    return float(max(best_v, lam))
+    best_v = _maximize(_potts_line(q, lam), config or OptimizerConfig())[0]
+    return float(max(lam, best_v))

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 from treerecon import (
     BadDimension,
     CenterSingularity,
+    ChannelError,
     NonPositiveEntry,
     OptimizerConfig,
     binary_channel,
@@ -28,8 +29,7 @@ from treerecon.variational import (
     MIN_GRID_POINTS,
     REFINE_STEPS,
     _near_center,
-    _potts_cols,
-    _potts_q2,
+    _potts_line,
     _ratio_cols,
     _ratio_q2,
     _ratio_rows,
@@ -134,12 +134,39 @@ def test_potts_overflow_is_a_validation_error():
         potts_cbar(3, 400.0)
 
 
-def test_potts_reduction_q3():
-    beta = 1.0
-    lam = math.expm1(2 * beta) / (math.exp(2 * beta) + 2)
-    full = compute_c(potts_channel(3, beta)).value
-    reduced = lam * potts_cbar(3, beta)
-    assert abs(full - reduced) <= 1e-6
+def test_potts_cbar_rejects_negative_beta():
+    # c = lam cbar needs lam >= 0; beta = 0 keeps the positive zero
+    for q in (2, 3):
+        with pytest.raises(ChannelError):
+            potts_cbar(q, -0.5)
+        assert math.copysign(1.0, potts_cbar(q, 0.0)) == 1.0 and potts_cbar(q, 0.0) == 0.0
+
+
+def _potts_lam(q, beta):
+    e2b = _potts_e2b(q, beta)
+    return (e2b - 1.0) / (e2b + q - 1.0)
+
+
+def test_potts_cbar_matches_full_search():
+    # the one-heavy line against multistart Nelder-Mead on the q-state channel
+    for q in range(3, 7):
+        for beta in (0.2, 0.7, 1.5, 3.0):
+            full = compute_c(potts_channel(q, beta)).value
+            reduced = _potts_lam(q, beta) * potts_cbar(q, beta)
+            assert abs(full - reduced) <= 1e-12 * full, (q, beta)
+
+
+@pytest.mark.parametrize("q", [3, 5, 12, 50])
+def test_potts_cbar_matches_lumped_two_state_channel(q):
+    # Lumping states 1..q-1 of the Potts chain gives the two-state chain of
+    # the one-heavy line, alpha = (1/q, 1 - 1/q) and the same lam, so its c,
+    # found by the q = 2 closed form, is lam cbar.
+    for beta in (0.5, 1.0, 2.0):
+        e2b = _potts_e2b(q, beta)
+        den = e2b + q - 1.0
+        c2 = compute_c(binary_channel((q - 1) / den, (e2b + q - 2) / den)).value
+        reduced = _potts_lam(q, beta) * potts_cbar(q, beta)
+        assert abs(c2 - reduced) <= 1e-12 * c2, (q, beta)
 
 
 def test_boundary_decay(c_binary, binary_0301):
@@ -278,19 +305,37 @@ def _potts_row_form(q, lam, P):
     return r
 
 
+def _heavy_points(q, k, x):
+    """k states at x each and the rest sharing 1 - k x, one row per x."""
+    P = np.repeat(((1.0 - k * x) / (q - k))[:, None], q, axis=1)
+    P[:, :k] = x[:, None]
+    return P
+
+
 @pytest.mark.parametrize("q", range(3, 13))
-def test_potts_cols_match_row_form_bitwise(q):
-    # uniform exactly (lam), near it, a vertex (0) and Dirichlet points
-    e2b = _potts_e2b(q, 1.0)
-    lam = (e2b - 1.0) / (e2b + q - 1.0)
-    rng = np.random.default_rng(q)
-    u = np.full(q, 1.0 / q)
-    v = rng.standard_normal(q)
-    P = np.array([u, u + 1e-10 * (v - v.mean()), np.eye(q)[0],
-                  *rng.dirichlet(np.ones(q), size=61)])
-    got = _potts_cols(q, lam)(P.T.copy())
-    assert got.tobytes() == _potts_row_form(q, lam, P).tobytes()
-    assert got[0] == lam and got[2] == 0.0
+def test_potts_line_matches_row_form(q):
+    # the line objective is the full objective at p = (t, (1 - t) / (q - 1), ...)
+    lam = _potts_lam(q, 1.0)
+    # away from the ends, where R = q p - 1 near -1 is ill-conditioned in both
+    t = np.concatenate([[1.0 / q], np.random.default_rng(q).uniform(0.01, 0.99, 63)])
+    got = _potts_line(q, lam)(t)
+    np.testing.assert_allclose(got, _potts_row_form(q, lam, _heavy_points(q, 1, t)),
+                               rtol=1e-13, atol=0)
+    assert got[0] == lam and not _potts_line(q, lam)(np.array([0.0, 1.0])).any()
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 3.0])
+def test_row_form_stays_below_potts_cbar(beta):
+    # The one-heavy line holds the supremum: neither Dirichlet points nor the
+    # k-heavy lines of the full objective exceed potts_cbar.
+    rng = np.random.default_rng(11)
+    for q in range(2, 13):
+        lam = _potts_lam(q, beta)
+        bound = potts_cbar(q, beta) * (1.0 + 1e-12)
+        assert _potts_row_form(q, lam, rng.dirichlet(np.ones(q), size=2000)).max() <= bound
+        for k in range(1, q):
+            x = np.linspace(0.0, 1.0 / k, 4001)[1:-1]
+            assert _potts_row_form(q, lam, _heavy_points(q, k, x)).max() <= bound, (q, k)
 
 
 @pytest.mark.parametrize("delta1, delta2", [
@@ -356,30 +401,27 @@ def test_rows_objective_matches_mpmath_near_alpha():
 
 
 @pytest.mark.parametrize("q, beta", [(2, 0.3), (2, 1.0), (3, 0.3), (3, 1.0), (4, 1.0),
-                                     (5, 3.0), (8, 1.0)])
+                                     (5, 3.0), (8, 1.0), (20, 1.0), (50, 2.0)])
 def test_potts_rows_match_mpmath_near_uniform(q, beta):
-    # One heavy state: p = u + t (e_0 - u) for |t| = 1e-3 .. 1e-15, where
-    # u is uniform.  With R = q p - 1 centred, F is sum R log1p(lam R) over
-    # sum R log1p(R), taking the stored e^{2 beta} as exact.  At q = 2 the
-    # closed form of p_0 alone must agree too.
-    e2b = _potts_e2b(q, beta)
-    lam = (e2b - 1.0) / (e2b + q - 1.0)
-    t = np.array([s * 10.0 ** -e for e in range(3, 16) for s in (1.0, -1.0)])
-    P = np.tile(1.0 / q - t[:, None] / q, q)
-    P[:, 0] = 1.0 / q + t * (q - 1) / q
+    # The line objective at t = 1/q + s (q - 1) / q for |s| = 1e-3 .. 1e-15,
+    # and at three points far from uniform, against g(lam r) / g(r) in 50
+    # digits with r = q t - 1 from the float t, taking the stored
+    # e^{2 beta} as exact.
+    lam = _potts_lam(q, beta)
+    s = np.array([x * 10.0 ** -e for e in range(3, 16) for x in (1.0, -1.0)])
+    t = np.concatenate([1.0 / q + s * (q - 1) / q, [0.5 / q, 0.75, 0.99]])
     with mpmath.workdps(50):
-        g = mpmath.mpf(e2b) - 1
-        mp_lam = g / (q + g)
+        g_e2b = mpmath.mpf(_potts_e2b(q, beta)) - 1
+        mp_lam = g_e2b / (q + g_e2b)
+
+        def g(x):
+            return mpmath.log1p(x) - mpmath.log1p(-x / (q - 1))
+
         ref = []
-        for p in P:
-            d = [mpmath.mpf(float(x)) - mpmath.mpf(1) / q for x in p]
-            s = mpmath.fsum(d) / q
-            R = [q * (x - s) for x in d]
-            ref.append(float(mpmath.fsum(r * mpmath.log1p(mp_lam * r) for r in R)
-                             / mpmath.fsum(r * mpmath.log1p(r) for r in R)))
-    np.testing.assert_allclose(_potts_cols(q, lam)(P.T.copy()), ref, rtol=1e-15, atol=0)
-    if q == 2:
-        np.testing.assert_allclose(_potts_q2(lam)(P[:, 0]), ref, rtol=1e-15, atol=0)
+        for x in t:
+            r = q * mpmath.mpf(float(x)) - 1
+            ref.append(float(g(mp_lam * r) / g(r)))
+    np.testing.assert_allclose(_potts_line(q, lam)(t), ref, rtol=4e-15, atol=0)
 
 
 def _mp_stationary(m):
