@@ -421,7 +421,10 @@ def test_potts_rows_match_mpmath_near_uniform(q, beta):
         for x in t:
             r = q * mpmath.mpf(float(x)) - 1
             ref.append(float(g(mp_lam * r) / g(r)))
-    np.testing.assert_allclose(_potts_line(q, lam)(t), ref, rtol=4e-15, atol=0)
+    # near t = 1, 1 - r / (q - 1) is small, which scales the rounding of q t
+    got = _potts_line(q, lam)(t)
+    np.testing.assert_allclose(got[:-3], ref[:-3], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got[-3:], ref[-3:], rtol=4e-15, atol=0)
 
 
 def _mp_stationary(m):
