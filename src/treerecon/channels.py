@@ -12,7 +12,7 @@ States are indexed 0..q-1 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class Channel:
     stationary : (q,) stationary distribution alpha, np.sum == 1.0 exactly
     reversed : (q, q) reversed kernel, satisfies detailed balance with matrix
     label : optional human-readable description used in reports
+    lumped : (lumped two-state chain, lam) of a Potts channel with beta >= 0,
+        else None; set by potts_channel only, and not compared
     """
 
     q: int
@@ -88,6 +90,7 @@ class Channel:
     stationary: np.ndarray
     reversed: np.ndarray
     label: str | None = field(default=None, compare=False)
+    lumped: tuple[Channel, float] | None = field(default=None, compare=False, repr=False)
 
 
 def _validate_matrix(matrix) -> np.ndarray:
@@ -211,12 +214,18 @@ def _potts_e2b(q: int, beta: float) -> float:
 
 def potts_channel(q: int, beta: float) -> Channel:
     """Potts channel: diagonal e^{2 beta} / (e^{2 beta} + q - 1), off-diagonal
-    1 / (e^{2 beta} + q - 1).  Symmetric, stationary law uniform."""
+    1 / (e^{2 beta} + q - 1).  Symmetric, stationary law uniform.  For
+    beta >= 0 it carries the exact lumping of state 0 against the rest and
+    lam = expm1(2 beta) / (e^{2 beta} + q - 1), where e^{2 beta} - 1 cancels."""
     e2b = _potts_e2b(q, beta)
     denom = e2b + q - 1.0
     m = np.full((q, q), 1.0 / denom)
     np.fill_diagonal(m, e2b / denom)
-    return make_channel(m, label=f"potts(q={q}, beta={beta:g})")
+    ch = make_channel(m, label=f"potts(q={q}, beta={beta:g})")
+    if beta < 0:
+        return ch
+    pair = make_channel([[e2b / denom, (q - 1) / denom], [1.0 / denom, (e2b + (q - 2)) / denom]])
+    return replace(ch, lumped=(pair, math.expm1(2.0 * beta) / denom))
 
 
 def _check_deltas(delta1: float, delta2: float) -> None:

@@ -12,20 +12,19 @@ That near-center value is always merged with the interior search, so the
 reported constant is max(near-center limit, best evaluated ratio).
 
 Each constant has one objective F, alpha and the boundary included, and
-one search, _maximize.  Two are 1-d closed forms over an array of t: c(M)
-at q = 2, R(s) = lam g(lam s) / g(s) of _ratio_q2 with s = t - alpha_0 and
-lam = M_00 + M_11 - 1, and potts_cbar's objective on the line
-p = (t, (1 - t) / (q - 1), ...) at every q.  _maximize evaluates them on a
-grid of grid_points points (fewer than 100,001 are raised to 100,001) and
-refines the brackets of its best local maxima together (minimize_scalar;
-iterations counts its steps, evaluations the grid points plus one per
-bracket and step).  For c(M) at q >= 3, _maximize runs multistart
-Nelder-Mead in softmax coordinates, whose softmax builds the beliefs as the
-columns of a states-major (q, n) array, and F is _ratio_cols, which runs
-both entropies through one pass of the entropy kernel's branches.
-_ratio_rows, the same objective over the rows of an (S, q) array through
-symmetrized_entropy_rows, is the reference that tests hold _ratio_cols to
-bit for bit, and the q = 2 cross-check.
+one search, _maximize.  At q = 2, F is the closed form
+R(s) = lam g(lam s) / g(s) of _ratio_q2 over an array of t, with
+s = t - alpha_0 and lam = M_00 + M_11 - 1.  A Potts channel (beta >= 0)
+takes the same F on its lumped two-state chain at every q, with lam from
+beta and the near-center limit lam^2, and potts_cbar is that constant over
+lam.  _maximize evaluates a 1-d F on a grid of grid_points points (fewer
+than 100,001 are raised to 100,001) and refines the brackets of its best
+local maxima together (minimize_scalar; iterations counts its steps,
+evaluations the grid points plus one per bracket and step).  For any
+other channel at q >= 3, _maximize runs multistart Nelder-Mead in softmax
+coordinates, whose softmax builds the beliefs as the columns of a
+states-major (q, n) array, and F is _ratio_cols, which runs both entropies
+through one pass of the entropy kernel's branches.
 minimize advances the live starts together as one (live, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
 start, in start order.  A start leaves the array when it converges or
@@ -42,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from .channels import Channel, _normalize_exact, _potts_e2b, _readonly
-from .entropy import (_CHUNK, _states_sum, pairwise_sum, symmetrized_entropy,
-                      symmetrized_entropy_rows)
+from .channels import Channel, _normalize_exact, _readonly, potts_channel
+from .entropy import _CHUNK, _states_sum, pairwise_sum, symmetrized_entropy
+from .entropy import symmetrized_entropy_rows  # noqa: F401  (bench/tracer.py wraps this name here)
 from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
 
 CENTER_ATOL = 1e-12
@@ -85,7 +84,7 @@ class VariationalResult:
 
 
 def ratio(p, channel: Channel) -> float:
-    """L(p M_rev) / L(p), both in the deviation form of _ratio_rows.  Raises
+    """L(p M_rev) / L(p), both in the deviation form of _ratio_cols.  Raises
     CenterSingularity if p is alpha within 1e-12.
 
     Returns 0.0 on the boundary of the simplex, where L(p) = +inf while the
@@ -132,36 +131,14 @@ def near_center_limit(channel: Channel) -> float:
     return _near_center(channel)[0]
 
 
-def _ratio_rows(channel: Channel, nc_value: float):
-    """F(P) = L(P M_rev) / L(P) over the rows of P, both in deviation form.
-
-    Each row's deviation d = p - alpha is projected onto sum d = 0 along
-    alpha for both entropies, so F keeps full relative accuracy however
-    close p is to alpha.  F is nc_value where L(p) is exactly 0 (the 0/0 at
-    alpha) and 0 where the quotient is not finite, as on the boundary of the
-    simplex, where L(p) = +inf.
-    """
-    a = channel.stationary
-    rev = channel.reversed
-    eye = np.eye(channel.q)
-
-    def F(P: np.ndarray) -> np.ndarray:
-        L = symmetrized_entropy_rows(P, a, eye)
-        r = symmetrized_entropy_rows(P, a, rev)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r /= L
-        r[~np.isfinite(r)] = 0.0
-        r[L == 0.0] = nc_value
-        return r
-
-    return F
-
-
 def _ratio_cols(channel: Channel, nc_value: float):
-    """_ratio_rows over the columns of a states-major (q, n) array B, bit
-    for bit, with both entropies in one pass of the kernel's branches.
+    """F(B) = L(B M_rev) / L(B) over the columns of a states-major (q, n)
+    array B, in deviation form: d = B - alpha is projected onto sum d = 0
+    along alpha, so F keeps full relative accuracy however close a column
+    is to alpha.  F is nc_value where L is exactly 0 (the 0/0 at alpha) and
+    0 where the quotient is not finite, as on the boundary, where L = +inf.
 
-    The deviations d = B - alpha are mapped by the kernel's two matrices,
+    The deviations are mapped by the kernel's two matrices,
     I - alpha 1^T and M_rev^T - alpha 1^T, one product each into a (2, q, n)
     stack, beside B and M_rev^T B, so the branches, the sum over states and
     the quotient run once over both.
@@ -189,7 +166,7 @@ def _ratio_cols(channel: Channel, nc_value: float):
     return F
 
 
-def _ratio_q2(channel: Channel, nc_value: float):
+def _ratio_q2(channel: Channel, nc_value: float, lam: float | None = None):
     """F(t) = L(p M_rev) / L(p) at p = (t, 1 - t), over a 1-d array of t, in
     closed form.
 
@@ -210,7 +187,8 @@ def _ratio_q2(channel: Channel, nc_value: float):
     relabelled to make a <= b, and u stays above 0.4 wherever that form is
     used.  F is nc_value where g(s) is exactly 0 and 0 where the quotient is
     not finite, as on the boundary.  Blocks of _CHUNK points keep the
-    temporaries in cache.
+    temporaries in cache.  A caller that knows lam more accurately than the
+    stored matrix gives it (a Potts channel's lumped chain, lam from beta).
 
     A symmetric channel (a = 1/2) has R <= lam^2 on the whole simplex, so
     its c(M) is the near-center limit lam^2.  Proof: g'(v) = 1/(a + v) +
@@ -224,7 +202,8 @@ def _ratio_q2(channel: Channel, nc_value: float):
     if swap:
         a, b, rev = b, a, rev[::-1, ::-1]
     (r00, r01), (r10, r11) = rev
-    lam = r00 - r10
+    if lam is None:
+        lam = r00 - r10
 
     def g(d, t, u):
         # one transcendental per point
@@ -470,19 +449,29 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     """Best found value of sup_p L(p M_rev) / L(p), with the near-center limit merged.
 
     The supremum is searched by _maximize: a grid for q = 2, multistart
-    Nelder-Mead for q >= 3.  The result is deterministic given config.
+    Nelder-Mead for q >= 3, and for a channel with a lumped two-state chain
+    (Potts, beta >= 0) a grid on that chain at any q, reported as
+    "lumped-grid-1d" for q >= 3.  The result is deterministic given config.
     """
     cfg = config or OptimizerConfig()
-    a = channel.stationary
-    nc_value, nc_dir = _near_center(channel)
+    q, a = channel.q, channel.stationary
+    if channel.lumped is None:
+        nc_value, nc_dir = _near_center(channel)
+        F = (_ratio_q2 if q == 2 else _ratio_cols)(channel, nc_value)
+        best_v, best_p, stats = _maximize(F, cfg, None if q == 2 else a)
+    else:  # README "Potts constants": the supremum lies on the one-heavy line
+        pair, lam = channel.lumped
+        nc_value = lam * lam  # every nontrivial eigenvalue is lam
+        nc_dir = np.concatenate([[-1.0], np.full(q - 1, 1.0 / (q - 1))])
+        best_v, (t, _), stats = _maximize(_ratio_q2(pair, nc_value, lam), cfg)
+        best_p = np.concatenate([[t], np.full(q - 1, (1.0 - t) / (q - 1))])
+        if q > 2:
+            stats["method"] = "lumped-grid-1d"
 
     # representative point for the near-center candidate, 1e-9 min(alpha)
     # from alpha in the max norm (the largest entry of nc_dir is +-1)
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
-
-    F = (_ratio_q2 if channel.q == 2 else _ratio_cols)(channel, nc_value)
-    best_v, best_p, stats = _maximize(F, cfg, None if channel.q == 2 else a)
 
     near_wins = nc_value >= best_v
     value = nc_value if near_wins else best_v
@@ -498,31 +487,6 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
-def _potts_line(q: int, lam: float):
-    """potts_cbar's objective at p = (t, (1 - t) / (q - 1), ...) over a 1-d
-    array of t, in blocks of _CHUNK points: with r = q t - 1, F = g(lam r) /
-    g(r), g(x) = log1p(x) - log1p(-x / (q - 1)), whose two logarithms have
-    opposite signs, so nothing cancels near uniform.  F is lam where g(r) is
-    exactly 0 and 0 where it is not finite, as on the boundary."""
-    def g(x):
-        return np.log1p(x) - np.log1p(x / (1.0 - q))
-
-    def F(t: np.ndarray) -> np.ndarray:
-        out = np.empty(len(t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, len(t), _CHUNK):
-                r = q * t[i:i + _CHUNK] - 1.0
-                den = g(r)
-                f = g(lam * r)
-                f /= den
-                f[~np.isfinite(f)] = 0.0
-                f[den == 0.0] = lam
-                out[i:i + _CHUNK] = f
-        return out
-
-    return F
-
-
 def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> float:
     """sup_p of the reduced Potts objective
 
@@ -530,21 +494,17 @@ def potts_cbar(q: int, beta: float, config: OptimizerConfig | None = None) -> fl
         -------------------------------------------------
         sum_i (q p_i - 1) log(q p_i)
 
-    Its product with lam = (e^{2 beta} - 1) / (e^{2 beta} + q - 1) is c of
-    the Potts channel for beta >= 0; beta < 0 (lam < 0, where that identity
-    fails) raises ChannelError, and beta = 0 gives 0.0.  Its limit at the
-    uniform vector is lam in every direction, and is merged in.
-
-    The supremum lies on the one-heavy line of _potts_line (proof in
-    README.md, "Potts constants", from the Lagrange condition on
-    sum_i phi(q p_i - 1)).  _maximize searches it by its grid and refinement:
-    grid_points sets the grid, starts and max_iters are validated but
-    unused.  The value is the best found on the line, not a certified bound;
-    compute_c on the full q-state channel is the independent cross-check.
+    that is, c of potts_channel(q, beta), found on its lumped two-state
+    chain, over lam = expm1(2 beta) / (e^{2 beta} + q - 1).  beta < 0
+    (lam < 0, where c = lam cbar fails) raises ChannelError, and beta = 0
+    gives 0.0.  Where 1 / (e^{2 beta} + q - 1) is subnormal (beta in about
+    (354.2, 354.89]), potts_channel raises NoConvergence.  grid_points sets
+    the grid; starts and max_iters are validated but unused.  The value is
+    the best found, not a certified bound.
     """
-    e2b = _potts_e2b(q, beta)
+    ch = potts_channel(q, beta)
     if beta < 0:
         raise ChannelError(f"potts_cbar needs beta >= 0, got {beta!r}")
-    lam = (e2b - 1.0) / (e2b + q - 1.0)
-    best_v = _maximize(_potts_line(q, lam), config or OptimizerConfig())[0]
-    return float(max(lam, best_v))
+    if beta == 0:
+        return 0.0
+    return compute_c(ch, config).value / ch.lumped[1]

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import treerecon.cli
+from treerecon import potts_channel
 from treerecon.variational import MIN_GRID_POINTS
 
 QUICK = ["--starts", "8", "--grid-points", "50001"]
@@ -252,9 +253,12 @@ def test_extreme_channel_ends_cleanly(run_cli, case):
 
 
 def test_no_converged_start_exits_3(run_cli):
-    # At 40 iterations none of the 64 Potts starts converges; at 100 all but
-    # one do, and the report counts the one that exhausted its budget.
-    potts = ["c-of-m", "--family", "potts", "--q", "3", "--beta", "0.8", "--format", "json"]
+    # At 40 iterations none of the 64 starts on the Potts q=3 matrix
+    # converges; at 100 all but one do, and the report counts the one that
+    # exhausted its budget.  Given as a raw matrix, the channel takes the
+    # multistart search, not the lumped route of --family potts.
+    matrix = json.dumps({"matrix": potts_channel(3, 0.8).matrix.tolist()})
+    potts = ["c-of-m", "--channel", matrix, "--format", "json"]
     code, out, err = run_cli([*potts, "--max-iters", "40"])
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -263,6 +267,21 @@ def test_no_converged_start_exits_3(run_cli):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (1, 5279, 22115)
+
+
+@pytest.mark.parametrize("q, beta", [("30", "2"), ("50", "0.5")])
+def test_potts_at_large_q_takes_the_lumped_route(run_cli, q, beta):
+    # The (q - 1)-dimensional search once exited 3 here, no start converging;
+    # the lumped two-state chain has no starts to lose.
+    potts = ["--family", "potts", "--q", q, "--beta", beta, "--format", "json"]
+    code, out, err = run_cli(["c-of-m", *potts])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["method"] == "lumped-grid-1d" and report["failed_starts"] == 0
+    assert report["value"] > report["near_center_limit"]
+    code, out, err = run_cli(["bounds", *potts, "--branching", "2"])
+    assert code == 0 and err == ""
+    assert round(json.loads(out)["reports"][0]["constants"]["fk"], 6) == report["value"]
 
 
 def test_bounds_fine_grid_near_alpha(run_cli):

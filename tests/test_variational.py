@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -9,7 +10,9 @@ from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 from treerecon import (
     BadDimension,
     CenterSingularity,
+    Channel,
     ChannelError,
+    NoConvergence,
     NonPositiveEntry,
     OptimizerConfig,
     binary_channel,
@@ -23,22 +26,48 @@ from treerecon import (
     ratio,
 )
 from treerecon.channels import _potts_e2b
+from treerecon.entropy import symmetrized_entropy_rows
 from treerecon.variational import (
     CENTER_ATOL,
     FATOL,
     MIN_GRID_POINTS,
     REFINE_STEPS,
+    _maximize,
     _near_center,
-    _potts_line,
     _ratio_cols,
     _ratio_q2,
-    _ratio_rows,
     _softmax,
     _softmax_objective,
     _starts,
     minimize,
     minimize_scalar,
 )
+
+
+def _ratio_rows(channel, nc_value):
+    """F(P) = L(P M_rev) / L(P) over the rows of P, both in deviation form
+    through symmetrized_entropy_rows: the reference that holds _ratio_cols
+    bit for bit, and the q = 2 cross-check.
+
+    Each row's deviation d = p - alpha is projected onto sum d = 0 along
+    alpha for both entropies.  F is nc_value where L(p) is exactly 0 (the
+    0/0 at alpha) and 0 where the quotient is not finite, as on the boundary
+    of the simplex, where L(p) = +inf.
+    """
+    a = channel.stationary
+    rev = channel.reversed
+    eye = np.eye(channel.q)
+
+    def F(P):
+        L = symmetrized_entropy_rows(P, a, eye)
+        r = symmetrized_entropy_rows(P, a, rev)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= L
+        r[~np.isfinite(r)] = 0.0
+        r[L == 0.0] = nc_value
+        return r
+
+    return F
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +150,8 @@ def test_zero_information_channel(quick_config):
 
 def test_potts_reduction_q2():
     # tanh^2(beta) = tanh(beta) * cbar forces cbar = tanh(beta)
-    for beta in (0.4, 1.1):
-        assert abs(potts_cbar(2, beta) - math.tanh(beta)) <= 1e-15 * math.tanh(beta)
+    for beta in (0.4, 1.1, *np.linspace(0.05, 3.0, 60)):
+        assert abs(potts_cbar(2, beta) - math.tanh(beta)) <= 1e-15 * math.tanh(beta), beta
 
 
 def test_potts_overflow_is_a_validation_error():
@@ -134,6 +163,17 @@ def test_potts_overflow_is_a_validation_error():
         potts_cbar(3, 400.0)
 
 
+def test_potts_subnormal_entry_is_no_convergence():
+    # At beta = 354.5, e^{2 beta} is finite but the off-diagonal entry
+    # 1 / (e^{2 beta} + q - 1) is subnormal: the channel is too extreme to
+    # resolve, and potts_cbar, which builds it, says so too.
+    for q in (2, 3):
+        with pytest.raises(NoConvergence):
+            potts_channel(q, 354.5)
+        with pytest.raises(NoConvergence):
+            potts_cbar(q, 354.5)
+
+
 def test_potts_cbar_rejects_negative_beta():
     # c = lam cbar needs lam >= 0; beta = 0 keeps the positive zero
     for q in (2, 3):
@@ -143,17 +183,79 @@ def test_potts_cbar_rejects_negative_beta():
 
 
 def _potts_lam(q, beta):
-    e2b = _potts_e2b(q, beta)
-    return (e2b - 1.0) / (e2b + q - 1.0)
+    return potts_channel(q, beta).lumped[1]
+
+
+def test_potts_channel_carries_its_lumping():
+    # lam from beta; the lumped chain is state 0 against the rest.  No other
+    # constructor tags a channel, and the tag takes no part in equality.
+    for q, beta in ((2, 0.5), (3, 0.8), (50, 2.0), (3, 1e-6)):
+        ch = potts_channel(q, beta)
+        pair, lam = ch.lumped
+        assert abs(lam - math.expm1(2 * beta) / (math.exp(2 * beta) + q - 1)) <= 1e-16 * lam
+        lumped = np.array([[ch.matrix[0, 0], ch.matrix[0, 1:].sum()],
+                           [ch.matrix[1, 0], ch.matrix[1, 1:].sum()]])
+        np.testing.assert_allclose(pair.matrix, lumped, rtol=1e-15, atol=0)
+        untagged = make_channel(ch.matrix)
+        assert untagged.lumped is None
+        assert untagged.matrix.tobytes() == ch.matrix.tobytes()
+    assert potts_channel(3, -0.5).lumped is None
+    assert not {f.name: f.compare for f in dataclasses.fields(Channel)}["lumped"]
+    assert permute_channel(potts_channel(3, 0.8), [1, 2, 0]).lumped is None
 
 
 def test_potts_cbar_matches_full_search():
-    # the one-heavy line against multistart Nelder-Mead on the q-state channel
+    # The (q - 1)-dimensional multistart Nelder-Mead on the full channel,
+    # the lumped route of compute_c and lam potts_cbar agree.
+    cfg = OptimizerConfig()
     for q in range(3, 7):
         for beta in (0.2, 0.7, 1.5, 3.0):
-            full = compute_c(potts_channel(q, beta)).value
+            ch = potts_channel(q, beta)
+            nc = near_center_limit(ch)
+            full = max(nc, _maximize(_ratio_cols(ch, nc), cfg, ch.stationary)[0])
+            res = compute_c(ch)
             reduced = _potts_lam(q, beta) * potts_cbar(q, beta)
+            assert res.trace.method == "lumped-grid-1d" and res.trace.failed_starts == 0
+            assert abs(full - res.value) <= 1e-12 * full, (q, beta)
             assert abs(full - reduced) <= 1e-12 * full, (q, beta)
+            # the argmax is the one-heavy point that attains the value
+            assert np.all(res.argmax[1:] == res.argmax[1])
+            assert abs(ratio(res.argmax, ch) - res.value) <= 1e-12 * res.value
+
+
+def _mp_potts_cbar(q, beta):
+    """sup of g(lam r) / g(r) over the one-heavy line, r in (0, q - 1),
+    g(x) = log1p(x) - log1p(-x / (q - 1)), lam from beta, in 50 digits:
+    a 400-point scan, then golden-section search on the best bracket (the
+    sup is lam, at r -> 0, when that is larger)."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        lam = mpmath.expm1(2 * b) / (mpmath.exp(2 * b) + q - 1)
+
+        def F(r):
+            return (mpmath.log1p(lam * r) - mpmath.log1p(-lam * r / (q - 1))) / (
+                mpmath.log1p(r) - mpmath.log1p(-r / (q - 1)))
+
+        rs = [mpmath.mpf(q - 1) * k / 400 for k in range(1, 400)]
+        k = max(range(len(rs)), key=lambda i: F(rs[i]))
+        lo, hi = (rs[k - 1] if k else rs[0] / 2), rs[min(k + 1, len(rs) - 1)]
+        phi = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            m1, m2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+            if F(m1) < F(m2):
+                lo = m1
+            else:
+                hi = m2
+        return max(F((lo + hi) / 2), lam)
+
+
+@pytest.mark.parametrize("beta", [1e-9, 1e-6, 1e-3])
+def test_potts_cbar_matches_mpmath_at_small_beta(beta):
+    # lam comes from beta: e^{2 beta} - 1 would cancel to 3e-8 relative at
+    # beta = 1e-9
+    for q in (2, 3, 5, 12):
+        ref = float(_mp_potts_cbar(q, beta))
+        assert abs(potts_cbar(q, beta) - ref) <= 1e-15 * ref, q
 
 
 @pytest.mark.parametrize("q", [3, 5, 12, 50])
@@ -181,7 +283,7 @@ def test_boundary_decay(c_binary, binary_0301):
 
 def test_deterministic_across_runs_and_threads():
     cfg = OptimizerConfig(starts=12, seed=3)
-    ch = potts_channel(3, 0.6)
+    ch = make_channel(potts_channel(3, 0.6).matrix)  # untagged: the multistart search
     # the optimizer runs serially; --threads reaches only simulate, and
     # test_criterion_8_thread_determinism pins the CLI across thread counts
     a = compute_c(ch, cfg)
@@ -194,7 +296,7 @@ def test_deterministic_across_runs_and_threads():
 def test_seed_changes_are_bounded():
     # different multistart seeds may find different local maxima, but the
     # reported value never drops below the directional limit
-    ch = potts_channel(3, 0.8)
+    ch = make_channel(potts_channel(3, 0.8).matrix)  # untagged: the multistart search
     lo = near_center_limit(ch)
     for seed in (0, 1):
         cfg = OptimizerConfig(starts=8, seed=seed)
@@ -312,16 +414,26 @@ def _heavy_points(q, k, x):
     return P
 
 
+def _lumped_line(q, beta):
+    """compute_c's objective on the lumped chain of the Potts channel, over
+    lam: the reduced Potts objective at p = (t, (1 - t) / (q - 1), ...)."""
+    pair, lam = potts_channel(q, beta).lumped
+    R = _ratio_q2(pair, lam * lam, lam)
+    return lambda t: R(t) / lam
+
+
 @pytest.mark.parametrize("q", range(3, 13))
 def test_potts_line_matches_row_form(q):
     # the line objective is the full objective at p = (t, (1 - t) / (q - 1), ...)
     lam = _potts_lam(q, 1.0)
     # away from the ends, where R = q p - 1 near -1 is ill-conditioned in both
     t = np.concatenate([[1.0 / q], np.random.default_rng(q).uniform(0.01, 0.99, 63)])
-    got = _potts_line(q, lam)(t)
+    F = _lumped_line(q, 1.0)
+    got = F(t)
     np.testing.assert_allclose(got, _potts_row_form(q, lam, _heavy_points(q, 1, t)),
                                rtol=1e-13, atol=0)
-    assert got[0] == lam and not _potts_line(q, lam)(np.array([0.0, 1.0])).any()
+    a = potts_channel(q, 1.0).lumped[0].stationary[0]
+    assert F(np.array([a]))[0] == lam * lam / lam and not F(np.array([0.0, 1.0])).any()
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0, 3.0])
@@ -403,16 +515,15 @@ def test_rows_objective_matches_mpmath_near_alpha():
 @pytest.mark.parametrize("q, beta", [(2, 0.3), (2, 1.0), (3, 0.3), (3, 1.0), (4, 1.0),
                                      (5, 3.0), (8, 1.0), (20, 1.0), (50, 2.0)])
 def test_potts_rows_match_mpmath_near_uniform(q, beta):
-    # The line objective at t = 1/q + s (q - 1) / q for |s| = 1e-3 .. 1e-15,
-    # and at three points far from uniform, against g(lam r) / g(r) in 50
-    # digits with r = q t - 1 from the float t, taking the stored
-    # e^{2 beta} as exact.
-    lam = _potts_lam(q, beta)
+    # The lumped line objective at t = 1/q + s (q - 1) / q for
+    # |s| = 1e-3 .. 1e-15, and at three points far from uniform, against
+    # g(lam r) / g(r) in 50 digits with r = q t - 1 from the float t and lam
+    # from beta.
     s = np.array([x * 10.0 ** -e for e in range(3, 16) for x in (1.0, -1.0)])
     t = np.concatenate([1.0 / q + s * (q - 1) / q, [0.5 / q, 0.75, 0.99]])
     with mpmath.workdps(50):
-        g_e2b = mpmath.mpf(_potts_e2b(q, beta)) - 1
-        mp_lam = g_e2b / (q + g_e2b)
+        b = mpmath.mpf(beta)
+        mp_lam = mpmath.expm1(2 * b) / (mpmath.exp(2 * b) + q - 1)
 
         def g(x):
             return mpmath.log1p(x) - mpmath.log1p(-x / (q - 1))
@@ -422,7 +533,7 @@ def test_potts_rows_match_mpmath_near_uniform(q, beta):
             r = q * mpmath.mpf(float(x)) - 1
             ref.append(float(g(mp_lam * r) / g(r)))
     # near t = 1, 1 - r / (q - 1) is small, which scales the rounding of q t
-    got = _potts_line(q, lam)(t)
+    got = _lumped_line(q, beta)(t)
     np.testing.assert_allclose(got[:-3], ref[:-3], rtol=1e-15, atol=0)
     np.testing.assert_allclose(got[-3:], ref[-3:], rtol=4e-15, atol=0)
 
