@@ -81,8 +81,8 @@ class Channel:
     stationary : (q,) stationary distribution alpha, np.sum == 1.0 exactly
     reversed : (q, q) reversed kernel, satisfies detailed balance with matrix
     label : optional human-readable description used in reports
-    lumped : (lumped two-state chain, lam) of a Potts channel with beta >= 0,
-        else None; set by potts_channel only, and not compared
+    lumped : (2 x 2 matrix of the lumped chain, lam) of a Potts channel with
+        beta >= 0, else None; set by potts_channel only, and not compared
     """
 
     q: int
@@ -90,7 +90,7 @@ class Channel:
     stationary: np.ndarray
     reversed: np.ndarray
     label: str | None = field(default=None, compare=False)
-    lumped: tuple[Channel, float] | None = field(default=None, compare=False, repr=False)
+    lumped: tuple[tuple, float] | None = field(default=None, compare=False, repr=False)
 
 
 def _validate_matrix(matrix) -> np.ndarray:
@@ -216,7 +216,8 @@ def potts_channel(q: int, beta: float) -> Channel:
     """Potts channel: diagonal e^{2 beta} / (e^{2 beta} + q - 1), off-diagonal
     1 / (e^{2 beta} + q - 1).  Symmetric, stationary law uniform.  For
     beta >= 0 it carries the exact lumping of state 0 against the rest and
-    lam = expm1(2 beta) / (e^{2 beta} + q - 1), where e^{2 beta} - 1 cancels."""
+    lam = expm1(2 beta) / (e^{2 beta} + q - 1), free of the cancellation in
+    e^{2 beta} - 1."""
     e2b = _potts_e2b(q, beta)
     denom = e2b + q - 1.0
     m = np.full((q, q), 1.0 / denom)
@@ -224,7 +225,8 @@ def potts_channel(q: int, beta: float) -> Channel:
     ch = make_channel(m, label=f"potts(q={q}, beta={beta:g})")
     if beta < 0:
         return ch
-    pair = make_channel([[e2b / denom, (q - 1) / denom], [1.0 / denom, (e2b + (q - 2)) / denom]])
+    # e2b + (q - 2) keeps a q = 2 chain bit for bit equal to the channel
+    pair = ((e2b / denom, (q - 1) / denom), (1.0 / denom, (e2b + (q - 2)) / denom))
     return replace(ch, lumped=(pair, math.expm1(2.0 * beta) / denom))
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from .channels import Channel, _normalize_exact, _readonly, potts_channel
+from .channels import Channel, _normalize_exact, _readonly, make_channel, potts_channel
 from .entropy import _CHUNK, _states_sum, pairwise_sum, symmetrized_entropy
 from .entropy import symmetrized_entropy_rows  # noqa: F401  (bench/tracer.py wraps this name here)
 from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
@@ -463,7 +463,8 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
         pair, lam = channel.lumped
         nc_value = lam * lam  # every nontrivial eigenvalue is lam
         nc_dir = np.concatenate([[-1.0], np.full(q - 1, 1.0 / (q - 1))])
-        best_v, (t, _), stats = _maximize(_ratio_q2(pair, nc_value, lam), cfg)
+        F = _ratio_q2(make_channel(pair), nc_value, lam)
+        best_v, (t, _), stats = _maximize(F, cfg)
         best_p = np.concatenate([[t], np.full(q - 1, (1.0 - t) / (q - 1))])
         if q > 2:
             stats["method"] = "lumped-grid-1d"

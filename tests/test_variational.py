@@ -195,7 +195,7 @@ def test_potts_channel_carries_its_lumping():
         assert abs(lam - math.expm1(2 * beta) / (math.exp(2 * beta) + q - 1)) <= 1e-16 * lam
         lumped = np.array([[ch.matrix[0, 0], ch.matrix[0, 1:].sum()],
                            [ch.matrix[1, 0], ch.matrix[1, 1:].sum()]])
-        np.testing.assert_allclose(pair.matrix, lumped, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(make_channel(pair).matrix, lumped, rtol=1e-15, atol=0)
         untagged = make_channel(ch.matrix)
         assert untagged.lumped is None
         assert untagged.matrix.tobytes() == ch.matrix.tobytes()
@@ -418,7 +418,7 @@ def _lumped_line(q, beta):
     """compute_c's objective on the lumped chain of the Potts channel, over
     lam: the reduced Potts objective at p = (t, (1 - t) / (q - 1), ...)."""
     pair, lam = potts_channel(q, beta).lumped
-    R = _ratio_q2(pair, lam * lam, lam)
+    R = _ratio_q2(make_channel(pair), lam * lam, lam)
     return lambda t: R(t) / lam
 
 
@@ -432,7 +432,7 @@ def test_potts_line_matches_row_form(q):
     got = F(t)
     np.testing.assert_allclose(got, _potts_row_form(q, lam, _heavy_points(q, 1, t)),
                                rtol=1e-13, atol=0)
-    a = potts_channel(q, 1.0).lumped[0].stationary[0]
+    a = make_channel(potts_channel(q, 1.0).lumped[0]).stationary[0]
     assert F(np.array([a]))[0] == lam * lam / lam and not F(np.array([0.0, 1.0])).any()
 
 
