@@ -12,18 +12,19 @@ That near-center value is always merged with the interior search, so the
 reported constant is max(near-center limit, best evaluated ratio).
 
 Each constant has one objective F, alpha and the boundary included, and
-one search, _maximize.  At q = 2, F is the closed form
-R(s) = lam g(lam s) / g(s) of _ratio_q2 over an array of t, with
-s = t - alpha_0 and lam = M_00 + M_11 - 1.  A Potts channel (beta >= 0)
-takes the same F on its lumped two-state chain at every q, with lam from
-beta and the near-center limit lam^2, and potts_cbar is that constant over
-lam.  _maximize evaluates a 1-d F on a grid of grid_points points (fewer
-than 100,001 are raised to 100,001) and refines the brackets of its best
-local maxima together (minimize_scalar; iterations counts its steps,
-evaluations the grid points plus one per bracket and step).  For any
-other channel at q >= 3, _maximize runs multistart Nelder-Mead in softmax
-coordinates, whose softmax builds the beliefs as the columns of a
-states-major (q, n) array, and F is _ratio_cols, which runs both entropies
+compute_c has two routes, each calling its own search.  The two-state route
+takes any q = 2 channel, and a Potts channel (beta >= 0) through its lumped
+two-state chain at any q.  F is then the closed form R(s) = lam g(lam s) /
+g(s) of _ratio_q2 over an array of t, with s = t - alpha_0 and
+lam = M_00 + M_11 - 1 (from beta for Potts), and the near-center limit is
+lam^2, with no eigensolve; potts_cbar is that constant over lam.
+_grid_search evaluates F on a grid of grid_points points (fewer than
+100,001 are raised to 100,001) and refines the brackets of its best local
+maxima together (minimize_scalar; iterations counts its steps, evaluations
+the grid points plus one per bracket and step).  Every other channel takes
+the eigensolved limit of _near_center, and _multistart runs Nelder-Mead in
+softmax coordinates, whose softmax builds the beliefs as the columns of a
+states-major (q, n) array; F is _ratio_cols, which runs both entropies
 through one pass of the entropy kernel's branches.
 minimize advances the live starts together as one (live, q, q - 1) array of
 simplices, with one F call per step for the trial points of every live
@@ -166,9 +167,9 @@ def _ratio_cols(channel: Channel, nc_value: float):
     return F
 
 
-def _ratio_q2(channel: Channel, nc_value: float, lam: float | None = None):
-    """F(t) = L(p M_rev) / L(p) at p = (t, 1 - t), over a 1-d array of t, in
-    closed form.
+def _ratio_q2(channel: Channel, lam: float | None = None):
+    """(F, lam^2): F(t) = L(p M_rev) / L(p) at p = (t, 1 - t), over a 1-d
+    array of t, in closed form, and its limit at alpha.
 
     With (a, b) = alpha and s = t - a, p = alpha + s (1, -1), and (1, -1) is
     a left eigenvector of M_rev with eigenvalue lam = M_00 + M_11 - 1.  So
@@ -185,10 +186,10 @@ def _ratio_q2(channel: Channel, nc_value: float, lam: float | None = None):
     takes u for b - d, which differs from it by the rounding of the stored
     a + b, a large error next to a tiny b; so the states are first
     relabelled to make a <= b, and u stays above 0.4 wherever that form is
-    used.  F is nc_value where g(s) is exactly 0 and 0 where the quotient is
+    used.  F is lam^2 where g(s) is exactly 0 and 0 where the quotient is
     not finite, as on the boundary.  Blocks of _CHUNK points keep the
     temporaries in cache.  A caller that knows lam more accurately than the
-    stored matrix gives it (a Potts channel's lumped chain, lam from beta).
+    stored matrix gives it (a Potts lumped chain, lam from beta) for both.
 
     A symmetric channel (a = 1/2) has R <= lam^2 on the whole simplex, so
     its c(M) is the near-center limit lam^2.  Proof: g'(v) = 1/(a + v) +
@@ -204,6 +205,7 @@ def _ratio_q2(channel: Channel, nc_value: float, lam: float | None = None):
     (r00, r01), (r10, r11) = rev
     if lam is None:
         lam = r00 - r10
+    limit = lam * lam
 
     def g(d, t, u):
         # one transcendental per point
@@ -228,11 +230,11 @@ def _ratio_q2(channel: Channel, nc_value: float, lam: float | None = None):
                 r *= lam
                 r /= den
                 r[~np.isfinite(r)] = 0.0
-                r[den == 0.0] = nc_value
+                r[den == 0.0] = limit
                 out[i:i + _CHUNK] = r
         return out
 
-    return F
+    return F, limit
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -395,39 +397,34 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return X0
 
 
-def _maximize(F, cfg: OptimizerConfig, center: np.ndarray | None = None):
-    """Best found (value, point, stats) of F, stats holding the MethodTrace
-    fields.  Without a center, F maps a 1-d array of t in (0, 1) to values,
-    the point is (t, 1 - t), and the grid refines its best 8 local maxima and
-    its maximum in one batched search that counts steps as iterations.  With
-    one, F is over the len(center)-simplex and every start, some perturbing
-    center, runs in one batched Nelder-Mead, which then polishes the winner.
-    Fewer than one start or iteration is a ValueError either way.
-    """
-    if cfg.starts < 1:
-        raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
-    if cfg.max_iters < 1:
-        raise ValueError(f"optimizer max_iters must be >= 1, got {cfg.max_iters}")
-    if center is None:
-        n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
-        t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
-        r = F(t)
-        # strict on the left, so that a plateau gives one candidate
-        interior = np.where((r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
-        order = np.argsort(r[interior], kind="stable")
-        top = int(np.argmax(r))
-        cand = np.union1d(interior[order][-8:], top)
-        # grid triples; a candidate at an end of the grid keeps a one-sided bracket
-        j = np.clip(cand, 1, n_points - 2)[:, None] + np.arange(-1, 2)
-        lo, hi = t[np.maximum(cand - 1, 0)], t[np.minimum(cand + 1, n_points - 1)]
-        res = minimize_scalar(lambda u: -F(u), t[j], -r[j], lo, hi)
-        best_v, best_t = float(r[top]), float(t[top])
-        if -res.fun > best_v:
-            best_v, best_t = -res.fun, float(res.x[0])
-        stats = dict(method="grid-1d", starts=0, grid_points=n_points,
-                     iterations=res.nit, evaluations=n_points + res.nfev, failed_starts=0)
-        return best_v, np.array([best_t, 1.0 - best_t]), stats
+def _grid_search(F, cfg: OptimizerConfig):
+    """Best found (value, t, stats) of F over a 1-d array of t in (0, 1),
+    stats holding the MethodTrace fields.  The grid refines its best 8 local
+    maxima and its maximum in one batched search counting steps as iterations."""
+    n_points = max(int(cfg.grid_points), MIN_GRID_POINTS)
+    t = np.linspace(1e-9, 1.0 - 1e-9, n_points)
+    r = F(t)
+    # strict on the left, so that a plateau gives one candidate
+    interior = np.where((r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:]))[0] + 1
+    order = np.argsort(r[interior], kind="stable")
+    top = int(np.argmax(r))
+    cand = np.union1d(interior[order][-8:], top)
+    # grid triples; a candidate at an end of the grid keeps a one-sided bracket
+    j = np.clip(cand, 1, n_points - 2)[:, None] + np.arange(-1, 2)
+    lo, hi = t[np.maximum(cand - 1, 0)], t[np.minimum(cand + 1, n_points - 1)]
+    res = minimize_scalar(lambda u: -F(u), t[j], -r[j], lo, hi)
+    best_v, best_t = float(r[top]), float(t[top])
+    if -res.fun > best_v:
+        best_v, best_t = -res.fun, float(res.x[0])
+    stats = dict(method="grid-1d", starts=0, grid_points=n_points,
+                 iterations=res.nit, evaluations=n_points + res.nfev, failed_starts=0)
+    return best_v, best_t, stats
 
+
+def _multistart(F, cfg: OptimizerConfig, center: np.ndarray):
+    """Best found (value, point, stats) of F over the len(center)-simplex,
+    stats holding the MethodTrace fields.  Every start, some perturbing
+    center, runs in one batched Nelder-Mead, which then polishes the winner."""
     f = _softmax_objective(F)
     X0 = _starts(len(center), center, cfg)
     res = minimize(f, X0, cfg.max_iters, FATOL, 1e-10)
@@ -448,26 +445,29 @@ def _maximize(F, cfg: OptimizerConfig, center: np.ndarray | None = None):
 def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> VariationalResult:
     """Best found value of sup_p L(p M_rev) / L(p), with the near-center limit merged.
 
-    The supremum is searched by _maximize: a grid for q = 2, multistart
-    Nelder-Mead for q >= 3, and for a channel with a lumped two-state chain
-    (Potts, beta >= 0) a grid on that chain at any q, reported as
-    "lumped-grid-1d" for q >= 3.  The result is deterministic given config.
+    A two-state channel, and a Potts channel (beta >= 0) through its lumped
+    chain at any q (README "Potts constants"), take _ratio_q2 with its limit
+    lam^2 and _grid_search ("lumped-grid-1d" for q >= 3); any other channel
+    takes the eigensolved limit and _multistart.  Fewer than one start or
+    iteration is a ValueError on either route.  Deterministic given config.
     """
     cfg = config or OptimizerConfig()
+    if cfg.starts < 1:
+        raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
+    if cfg.max_iters < 1:
+        raise ValueError(f"optimizer max_iters must be >= 1, got {cfg.max_iters}")
     q, a = channel.q, channel.stationary
-    if channel.lumped is None:
-        nc_value, nc_dir = _near_center(channel)
-        F = (_ratio_q2 if q == 2 else _ratio_cols)(channel, nc_value)
-        best_v, best_p, stats = _maximize(F, cfg, None if q == 2 else a)
-    else:  # README "Potts constants": the supremum lies on the one-heavy line
-        pair, lam = channel.lumped
-        nc_value = lam * lam  # every nontrivial eigenvalue is lam
-        nc_dir = np.concatenate([[-1.0], np.full(q - 1, 1.0 / (q - 1))])
-        F = _ratio_q2(make_channel(pair), nc_value, lam)
-        best_v, (t, _), stats = _maximize(F, cfg)
+    if q == 2 or channel.lumped is not None:
+        pair, lam = channel.lumped or (None, None)
+        F, nc_value = _ratio_q2(channel if pair is None else make_channel(pair), lam)
+        best_v, t, stats = _grid_search(F, cfg)
         best_p = np.concatenate([[t], np.full(q - 1, (1.0 - t) / (q - 1))])
+        nc_dir = np.concatenate([[-1.0], np.full(q - 1, 1.0 / (q - 1))])
         if q > 2:
             stats["method"] = "lumped-grid-1d"
+    else:
+        nc_value, nc_dir = _near_center(channel)
+        best_v, best_p, stats = _multistart(_ratio_cols(channel, nc_value), cfg, a)
 
     # representative point for the near-center candidate, 1e-9 min(alpha)
     # from alpha in the max norm (the largest entry of nc_dir is +-1)

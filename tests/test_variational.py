@@ -32,7 +32,7 @@ from treerecon.variational import (
     FATOL,
     MIN_GRID_POINTS,
     REFINE_STEPS,
-    _maximize,
+    _multistart,
     _near_center,
     _ratio_cols,
     _ratio_q2,
@@ -212,7 +212,7 @@ def test_potts_cbar_matches_full_search():
         for beta in (0.2, 0.7, 1.5, 3.0):
             ch = potts_channel(q, beta)
             nc = near_center_limit(ch)
-            full = max(nc, _maximize(_ratio_cols(ch, nc), cfg, ch.stationary)[0])
+            full = max(nc, _multistart(_ratio_cols(ch, nc), cfg, ch.stationary)[0])
             res = compute_c(ch)
             reduced = _potts_lam(q, beta) * potts_cbar(q, beta)
             assert res.trace.method == "lumped-grid-1d" and res.trace.failed_starts == 0
@@ -418,7 +418,7 @@ def _lumped_line(q, beta):
     """compute_c's objective on the lumped chain of the Potts channel, over
     lam: the reduced Potts objective at p = (t, (1 - t) / (q - 1), ...)."""
     pair, lam = potts_channel(q, beta).lumped
-    R = _ratio_q2(make_channel(pair), lam * lam, lam)
+    R, _ = _ratio_q2(make_channel(pair), lam)
     return lambda t: R(t) / lam
 
 
@@ -466,7 +466,7 @@ def test_guard_rows_stay_below_near_center_limit(delta1, delta2):
     for n in (MIN_GRID_POINTS, OptimizerConfig().grid_points):
         grid = np.linspace(1e-9, 1.0 - 1e-9, n)
         t.append(grid[[np.argmin(np.abs(grid - a0))]])
-    R = _ratio_q2(ch, limit)
+    R, _ = _ratio_q2(ch)
     for u in t:
         assert np.all(F(np.stack([u, 1.0 - u], axis=1)) <= limit * (1 + 1e-13))
         assert np.all(R(u) <= limit * (1 + 1e-13))
@@ -815,7 +815,7 @@ def test_q2_closed_form_matches_mpmath():
                          + [1e-9, 1.0 - 1e-9])
             t = t[(t > 0.0) & (t < 1.0)]  # alpha within 5e-4 of a vertex
             ref = [float(_mp_closed_form(ch, x)) for x in t]
-            np.testing.assert_allclose(_ratio_q2(ch, near_center_limit(ch))(t), ref,
+            np.testing.assert_allclose(_ratio_q2(ch)[0](t), ref,
                                        rtol=1e-15, atol=0, err_msg=ch.label)
 
 
@@ -826,7 +826,7 @@ def test_q2_closed_form_matches_rows_objective():
     P = np.stack([t, 1.0 - t], axis=1)
     for ch in _closed_form_panel():
         nc = near_center_limit(ch)
-        np.testing.assert_allclose(_ratio_q2(ch, nc)(t), _ratio_rows(ch, nc)(P),
+        np.testing.assert_allclose(_ratio_q2(ch)[0](t), _ratio_rows(ch, nc)(P),
                                    rtol=1e-14, atol=0, err_msg=ch.label)
 
 
@@ -840,7 +840,7 @@ def test_q2_symmetric_channels_stay_below_lam_squared():
              for d in np.arange(0.02, 0.5, 0.02).round(2)]
     chans += [(potts_channel(2, beta), math.tanh(beta)) for beta in (0.1, 0.5, 1.0, 3.0, 20.0)]
     for ch, lam in chans:
-        R = _ratio_q2(ch, near_center_limit(ch))(t)
+        R = _ratio_q2(ch)[0](t)
         assert np.all(R <= lam ** 2 * (1 + 1e-15)), ch.label
     with mpmath.workdps(50):
         half = mpmath.mpf(1) / 2
@@ -872,3 +872,78 @@ def test_q2_symmetric_binary_reaches_the_limit():
         want = (1.0 - 2.0 * d) ** 2
         assert res.trace.near_center_is_max, d
         assert abs(res.value - want) <= 1e-13 * want, d
+
+
+def _two_state_panel():
+    """72 raw two-state chains: the table1 rows at delta1 = 0.3, 15
+    channels binary(d, 1 - d), and 49 random ones."""
+    rng = np.random.default_rng(28)
+    return ([binary_channel(0.3, d2) for d2 in (0.1, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+            + [binary_channel(d, 1.0 - d) for d in np.arange(0.03, 0.46, 0.03).round(2)]
+            + [binary_channel(*rng.uniform(0.02, 0.98, 2)) for _ in range(49)])
+
+
+def test_two_state_limit_matches_eigensolve():
+    # The two-state route reads its limit as lam^2 in closed form; the
+    # eigensolved near-center limit is the independent check, on raw chains
+    # and on Potts channels, whose route takes lam from beta.
+    panel = _two_state_panel()
+    assert len(panel) == 72
+    for ch in panel:
+        limit = compute_c(ch).trace.near_center_value
+        assert limit == _ratio_q2(ch)[1]
+        assert abs(limit - near_center_limit(ch)) <= 4e-16, ch.label
+    for q in (2, 3, 5, 10, 20, 50):
+        for beta in (0.5, 1.0, 2.0):
+            ch = potts_channel(q, beta)
+            limit = compute_c(ch).trace.near_center_value
+            assert limit == ch.lumped[1] ** 2
+            nc = near_center_limit(ch)
+            assert abs(limit - nc) <= 5e-15 * nc, (q, beta)
+
+
+def test_asymmetric_two_state_exceeds_its_limit():
+    # For a != b, h'(0) = (1/b^2 - 1/a^2) / 2 != 0 with h(x) = g(x) / x, so
+    # R = lam^2 h(lam s) / h(s) exceeds lam^2 on one side of alpha and
+    # c > lam^2 strictly.  binary(d, 1 - d) has a = b and c = lam^2.
+    asymmetric = 0
+    for ch in _two_state_panel():
+        a, b = ch.stationary
+        res = compute_c(ch)
+        limit = res.trace.near_center_value
+        if abs(a - b) > 1e-9:
+            asymmetric += 1
+            assert res.value > limit and not res.trace.near_center_is_max, ch.label
+        else:
+            assert res.trace.near_center_is_max, ch.label
+            assert abs(res.value - limit) <= 1e-15 * limit, ch.label
+    assert asymmetric == 56
+
+
+class _NoEigensolve(Exception):
+    pass
+
+
+def test_two_state_route_runs_no_eigensolve(monkeypatch):
+    def eigh(_):
+        raise _NoEigensolve
+    monkeypatch.setattr("treerecon.variational.eigh", eigh)
+    for ch in (binary_channel(0.3, 0.1), binary_channel(0.3, 0.7), potts_channel(2, -0.5),
+               potts_channel(2, 1.0), potts_channel(5, 1.0)):
+        res = compute_c(ch)
+        assert res.trace.method in ("grid-1d", "lumped-grid-1d"), ch.label
+    raw = make_channel(np.random.default_rng(3).dirichlet(np.ones(3), size=3))
+    with pytest.raises(_NoEigensolve):
+        compute_c(raw, OptimizerConfig(starts=2))
+
+
+def test_symmetric_raw_chain_reports_its_limit():
+    # binary(0.3, 0.7) has alpha_0 = 0.5000000000000001; the grid's refinement
+    # reaches t = 0.5, an ulp from alpha, where ratio() raises.  The limit
+    # lam^2 wins there, with the near-center point as the argmax.
+    ch = binary_channel(0.3, 0.7)
+    res = compute_c(ch)
+    assert res.value == res.trace.near_center_value == _ratio_q2(ch)[1]
+    assert abs(res.value - 0.16) <= 1e-15 and res.trace.near_center_is_max
+    assert res.trace.method == "grid-1d"
+    assert ratio(res.argmax, ch) <= res.value * (1 + 1e-15)
