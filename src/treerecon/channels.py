@@ -261,6 +261,20 @@ def permute_channel(channel: Channel, perm) -> Channel:
     return make_channel(m, label=label)
 
 
+def _json_number(obj: dict, key: str, integer: bool = False):
+    """obj[key] as a float, or as an int if integer; a value that is not a
+    number, or a fractional one where an integer is due, is a ChannelError."""
+    try:
+        x = float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ChannelError(f"channel field {key!r} must be a number, got {obj[key]!r}") from None
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise ChannelError(f"channel field {key!r} must be an integer, got {obj[key]!r}")
+    return int(x)
+
+
 def channel_from_json(obj: dict) -> Channel:
     """Build a channel from its JSON description.
 
@@ -276,19 +290,19 @@ def channel_from_json(obj: dict) -> Channel:
         missing = {"q", "beta"} - obj.keys()
         if missing:
             raise ChannelError(f"potts channel requires keys {sorted(missing)}")
-        return potts_channel(int(obj["q"]), float(obj["beta"]))
+        return potts_channel(_json_number(obj, "q", integer=True), _json_number(obj, "beta"))
     if family == "binary":
         missing = {"delta1", "delta2"} - obj.keys()
         if missing:
             raise ChannelError(f"binary channel requires keys {sorted(missing)}")
-        return binary_channel(float(obj["delta1"]), float(obj["delta2"]))
+        return binary_channel(_json_number(obj, "delta1"), _json_number(obj, "delta2"))
     if family is not None:
         raise ChannelError(f"unknown channel family {family!r}")
     if "matrix" not in obj:
         raise ChannelError("channel description needs either 'family' or 'matrix'")
     matrix = obj["matrix"]
     ch = make_channel(matrix, label="matrix")
-    if "q" in obj and int(obj["q"]) != ch.q:
+    if "q" in obj and _json_number(obj, "q", integer=True) != ch.q:
         raise ChannelError(f"declared q={obj['q']} but matrix is {ch.q}x{ch.q}")
     return ch
 

@@ -253,10 +253,11 @@ def _add_channel_args(p: argparse.ArgumentParser) -> None:
 
 def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("optimizer")
-    g.add_argument("--starts", type=int, default=64)
-    g.add_argument("--max-iters", type=int, default=4000)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--grid-points", type=int, default=200_000)
+    defaults = OptimizerConfig()
+    g.add_argument("--starts", type=int, default=defaults.starts)
+    g.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    g.add_argument("--seed", type=int, default=defaults.seed)
+    g.add_argument("--grid-points", type=int, default=defaults.grid_points)
 
 
 def _add_common_args(p: argparse.ArgumentParser, func, view: View, *,
@@ -513,6 +514,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 0:
             raise ValueError(f"--threads must be >= 0, got {args.threads}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         path = getattr(args, "from_file", None)
         report = _load(path, args.command, args.view) if path else args.func(args)
         # constants and tables print as a table on a terminal, CSV when piped

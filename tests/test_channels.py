@@ -296,6 +296,15 @@ def test_channel_json_forms():
         channel_from_json({"q": 2})
     with pytest.raises(ChannelError):
         channel_from_json([0.5, 0.5])
+    # an integral float is an integer q; a fractional q is rejected, not truncated
+    assert channel_from_json({"family": "potts", "q": 3.0, "beta": 0.5}).q == 3
+    for bad in ({"family": "potts", "q": 3.9, "beta": 0.5},
+                {"family": "potts", "q": None, "beta": 0.5},
+                {"family": "potts", "q": 3, "beta": [0.5]},
+                {"family": "binary", "delta1": None, "delta2": 0.1},
+                {"q": 2.5, "matrix": [[0.6, 0.4], [0.2, 0.8]]}):
+        with pytest.raises(ChannelError):
+            channel_from_json(bad)
 
 
 def test_channel_json_round_trip():

@@ -159,6 +159,29 @@ def test_validation_failures_exit_2(run_cli):
            "--starts", n, "--format", "json"] for n in ("0", "-2")),
         *(["c-of-m", "--family", "potts", "--q", q, "--beta", "0.8",
            "--max-iters", n] for q in ("2", "3") for n in ("0", "-5")),
+        # a JSON field that is null, a list or a fractional q is a channel
+        # error, not a traceback, and q is never truncated
+        *(["c-of-m", "--channel", text] for text in (
+            '{"family": "potts", "q": null, "beta": 1}',
+            '{"family": "potts", "q": 3, "beta": null}',
+            '{"family": "potts", "q": 3, "beta": [1]}',
+            '{"family": "potts", "q": 3.9, "beta": 1}',
+            '{"family": "binary", "delta1": null, "delta2": 0.1}',
+            '{"family": "binary", "delta1": 0.3, "delta2": [0.1]}',
+            '{"q": null, "matrix": [[0.6, 0.4], [0.2, 0.8]]}',
+            '{"q": 2.7, "matrix": [[0.6, 0.4], [0.2, 0.8]]}')),
+        # every command rejects a negative seed, whether or not its route
+        # draws from it
+        *([*argv, "--seed", "-1"] for argv in (
+            ["c-of-m", "--family", "binary", "--delta1", "0.3", "--delta2", "0.1"],
+            ["c-of-m", "--family", "potts", "--q", "3", "--beta", "0.8"],
+            ["c-of-m", "--starts", "2", "--channel",
+             '{"matrix": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]}'],
+            ["bounds", "--family", "potts", "--q", "2", "--beta", "0.5"],
+            ["table1", "--delta2-list", "0.2"],
+            ["verify", "--count", "1"],
+            ["simulate", "--family", "potts", "--q", "2", "--beta", "0.5",
+             "--tree", "regular:d=2", "--depth", "2", "--samples", "10"])),
     ]
     for argv in cases:
         code, _, err = run_cli(argv)
