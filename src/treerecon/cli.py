@@ -25,10 +25,10 @@ from .bounds import DELTA2_GRID, BoundReport, bound_report, table1
 from .channels import (Channel, binary_channel, channel_from_json,
                        channel_to_json, potts_channel)
 from .errors import ChannelError, NoConvergence
-from .oracle import (TOLERANCES, bayes_vs_recursion, check_lemma1,
-                     check_lyapunov_bound, check_main_recursion,
-                     check_propagation, run_suite)
-from .treesim import TreeSpec, depth_sweep, sample_tree
+from .oracle import (LYAPUNOV_MARGIN_TOL, TOLERANCES, bayes_vs_recursion,
+                     check_lemma1, check_lyapunov_bound, check_main_recursion,
+                     check_propagation, enumeration_cross_check, run_suite)
+from .treesim import DEFAULT_MAX_NODES, TreeSpec, depth_sweep, sample_tree
 from .variational import OptimizerConfig, compute_c
 
 EXIT_OK = 0
@@ -37,11 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
 
-LYAPUNOV_MARGIN_TOL = 1e-9
-
 BOUND_NAMES = ("fk", "ks", "martin", "mp")
-SUITE_KEYS = ("max_recursion_diff", "max_lemma1_diff", "max_propagation_diff",
-              "max_bayes_diff", "max_enumeration_diff", "witness_instances")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,8 +165,8 @@ def _bound_record(r: BoundReport) -> dict:
 
 
 def _verify_rows(report: dict) -> list:
-    checks = (report["checks"] if "checks" in report
-              else {key: report[key] for key in SUITE_KEYS})
+    keys = [*(f"max_{check}_diff" for check in TOLERANCES), "witness_instances"]
+    checks = report["checks"] if "checks" in report else {k: report[k] for k in keys}
     return [{"key": key, "value": value}
             for key, value in [*checks.items(), ("ok", report["ok"])]]
 
@@ -397,6 +393,7 @@ def _cmd_verify(args) -> dict:
             tree, channel, 0, config=_optimizer_config(args))
     if want == "all":
         checks["bayes_diff"] = bayes_vs_recursion(tree, channel)
+        checks["enumeration_diff"] = enumeration_cross_check(tree, channel, 0)
     ok = (all(checks[f"{check}_diff"] <= tol for check, tol in TOLERANCES.items()
               if f"{check}_diff" in checks)
           and checks.get("lyapunov_margin", 0.0) >= -LYAPUNOV_MARGIN_TOL)
@@ -497,7 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("annealed", "quenched"),
                    default="annealed")
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
 
     return parser
 

@@ -9,7 +9,8 @@ computed exactly as the squared second singular value of
 K[i, j] = sqrt(alpha_j) M(j, i) / sqrt(alpha_i): the top eigenvalue of X X^T
 with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
 That near-center value is always merged with the interior search, so the
-reported constant is max(near-center limit, best evaluated ratio).
+reported constant is max(near-center limit, best evaluated ratio); a best
+point at alpha by ratio's test (CENTER_ATOL) reports the limit instead.
 
 Each constant has one objective F, alpha and the boundary included, and
 compute_c has two routes, each calling its own search.  The two-state route
@@ -474,7 +475,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    near_wins = nc_value >= best_v
+    near_wins = nc_value >= best_v or np.max(np.abs(best_p - a)) <= CENTER_ATOL
     value = nc_value if near_wins else best_v
     argmax = p_nc if near_wins else best_p
     trace = MethodTrace(
@@ -482,7 +483,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
         near_center_value=nc_value,
         # flag tolerates optimizer-level noise: a point beating the
         # directional limit by < 1e-9 is not evidence of an interior maximum
-        near_center_is_max=bool(nc_value >= best_v - 1e-9),
+        near_center_is_max=bool(near_wins or nc_value >= best_v - 1e-9),
         seed=cfg.seed,
     )
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)

@@ -11,6 +11,7 @@ import pytest
 
 import treerecon.cli
 from treerecon import potts_channel
+from treerecon.oracle import LYAPUNOV_MARGIN_TOL, TOLERANCES
 from treerecon.variational import MIN_GRID_POINTS
 
 QUICK = ["--starts", "8", "--grid-points", "50001"]
@@ -248,6 +249,18 @@ def test_lemma1_near_identity_resolves_or_exits_3(run_cli, beta):
         assert "underflowed" in err
 
 
+def test_simulate_underflow_exits_3(run_cli):
+    # At beta = 200 a root belief entry underflows to exact zero, whose
+    # entropy would be infinite; the run ends in one error line, exit 3.
+    code, out, err = run_cli(["simulate", "--family", "potts", "--q", "2",
+                              "--beta", "200", "--tree", "regular:d=2",
+                              "--depth", "3", "--samples", "50"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "underflowed to exact zero" in err
+    assert "Traceback" not in err
+
+
 EXTREME_CHANNELS = {
     "potts3-beta20": ["--family", "potts", "--q", "3", "--beta", "20"],
     "subnormal-entries": ["--channel", '{"matrix": [[0.5, 0.5, 5e-324], '
@@ -378,10 +391,15 @@ def test_bounds_multistate_drops_two_state_rows(run_cli):
 
 def test_bounds_from_file_round_trip(run_cli, tmp_path):
     base = ["bounds", "--family", "binary", "--delta1", "0.3",
-            "--delta2", "0.1", "--branching", "17", *QUICK]
-    for fmt, name in (("json", "r.json"), ("csv", "r.csv")):
-        code, out, _ = run_cli([*base, "--format", fmt])
+            "--delta2", "0.1", *QUICK]
+    # without --branching the verdict cells are blank, read back as None
+    for fmt, name, extra in (("json", "r.json", ["--branching", "17"]),
+                             ("csv", "r.csv", ["--branching", "17"]),
+                             ("csv", "blank.csv", [])):
+        code, out, _ = run_cli([*base, *extra, "--format", fmt])
         assert code == 0
+        if fmt == "csv":
+            assert out.splitlines()[1].endswith(",") == (not extra)
         path = tmp_path / name
         path.write_text(out, encoding="utf-8")
         code, again, _ = run_cli(["bounds", "--from-file", str(path),
@@ -458,8 +476,11 @@ def test_verify_instance_mode(run_cli):
     checks = report["checks"]
     assert set(checks) == {"lemma1_diff", "recursion_diff",
                            "pointwise_violations", "max_pointwise_gap",
-                           "propagation_diff", "lyapunov_margin", "bayes_diff"}
-    assert checks["lyapunov_margin"] >= -1e-9
+                           "propagation_diff", "lyapunov_margin", "bayes_diff",
+                           "enumeration_diff"}
+    # --suite all runs every gap check of the table
+    assert {f"{check}_diff" for check in TOLERANCES} <= set(checks)
+    assert checks["lyapunov_margin"] >= -LYAPUNOV_MARGIN_TOL
 
     code, out, _ = run_cli(["verify", "--family", "binary", "--delta1", "0.3",
                             "--delta2", "0.1", "--tree", "regular:d=2",
@@ -547,6 +568,10 @@ def test_simulate_bad_inputs(run_cli, tmp_path):
         ["simulate", "--family", "binary", "--delta1", "0.3",
          "--delta2", "0.1", "--tree", "ladder:d=2", "--depth", "2"],
         ["simulate", "--family", "binary", "--delta1", "0.3",
+         "--delta2", "0.1", "--tree", "regular:x=2", "--depth", "2"],
+        ["simulate", "--family", "binary", "--delta1", "0.3",
+         "--delta2", "0.1", "--tree", "gw:foo=1", "--depth", "2"],
+        ["simulate", "--family", "binary", "--delta1", "0.3",
          "--delta2", "0.1", "--tree", "regular:d=2", "--depth-sweep", "5"],
         ["simulate", "--family", "binary", "--delta1", "0.3",
          "--delta2", "0.1", "--tree", "regular:d=2", "--depth-sweep", "3..2"],
@@ -589,28 +614,45 @@ def test_from_file_json_renders_like_live(run_cli, tmp_path, command):
 
 BOUNDS_LACKING_CONSTANTS = {"command": "bounds", "reports": [
     {"channel": "matrix", "branching": 2.0, "verdicts": {}}]}
+BOUNDS_STRING_BRANCHING = {"command": "bounds", "reports": [
+    {"channel": "matrix", "branching": "2", "verdicts": {},
+     "constants": {"fk": 0.1, "ks": 0.1, "martin": None, "mp": None}}]}
+# case -> (command, file text, format, a fragment of the one-line error)
 BAD_FROM_FILE = {
-    "reports-not-a-list": ("bounds", '{"reports": 5}', "json"),
-    "results-of-numbers": ("simulate", '{"results": [1]}', "csv"),
-    "no-reports-key": ("bounds", '{"nope": 1}', "table"),
+    "reports-not-a-list": ("bounds", '{"reports": 5}', "json", "lacks 'command'"),
+    "results-of-numbers": ("simulate", '{"results": [1]}', "csv", "lacks 'command'"),
+    "command-reports-not-a-list": ("bounds", '{"command": "bounds", "reports": 5}',
+                                   "json", "report.reports must be a list"),
+    "command-report-not-an-object": ("bounds", '{"command": "bounds", "reports": [5]}',
+                                     "table", "report.reports[0] must be an object"),
+    "branching-a-string": ("bounds", json.dumps(BOUNDS_STRING_BRANCHING), "csv",
+                           "report.reports[0].branching has type str"),
+    "no-reports-key": ("bounds", '{"nope": 1}', "table", "lacks 'command'"),
     "empty-constants": ("table1", '{"command": "table1", "reports": '
-                                  '[{"delta2": 0.2, "constants": {}}]}', "csv"),
-    "lacks-constants": ("bounds", json.dumps(BOUNDS_LACKING_CONSTANTS), "table"),
-    "other-command": ("table1", '{"command": "simulate", "results": []}', "json"),
-    "empty-file": ("table1", "", "csv"),
-    "wrong-header": ("table1", "a,b\n1,2\n", "table"),
-    "short-row": ("simulate", "depth,mean_L,stderr,samples\n2,0.5,0.1\n", "json"),
-    "not-a-number": ("bounds", "bound,constant,verdict\nfk,high,\n", "csv"),
+                                  '[{"delta2": 0.2, "constants": {}}]}', "csv",
+                        "constants lacks 'fk'"),
+    "lacks-constants": ("bounds", json.dumps(BOUNDS_LACKING_CONSTANTS), "table",
+                        "lacks 'constants'"),
+    "other-command": ("table1", '{"command": "simulate", "results": []}', "json",
+                      "expected 'table1'"),
+    "empty-file": ("table1", "", "csv", "expected a JSON report or the CSV header"),
+    "wrong-header": ("table1", "a,b\n1,2\n", "table",
+                     "expected a JSON report or the CSV header"),
+    "short-row": ("simulate", "depth,mean_L,stderr,samples\n2,0.5,0.1\n", "json",
+                  "CSV line 2 needs 4 fields"),
+    "not-a-number": ("bounds", "bound,constant,verdict\nfk,high,\n", "csv",
+                     "could not convert string to float"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FROM_FILE))
 def test_from_file_bad_input_exits_2(run_cli, tmp_path, case):
-    command, text, fmt = BAD_FROM_FILE[case]
+    command, text, fmt, message = BAD_FROM_FILE[case]
     path = tmp_path / "report"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli([command, "--from-file", str(path),
                               "--format", fmt])
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err

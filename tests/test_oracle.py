@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -24,8 +25,8 @@ from treerecon import (
     sample_tree,
     tree_from_level_counts,
 )
-from treerecon.oracle import (DEFAULT_BUDGET, _fold_law, _random_small_tree,
-                              _subtree_nodes)
+from treerecon.oracle import (DEFAULT_BUDGET, TOLERANCES, _fold_law,
+                              _random_small_tree, _subtree_nodes)
 from treerecon.treesim import _sample_forest
 
 WITNESS_TREE = [[2], [2, 2]]
@@ -221,14 +222,26 @@ def test_run_suite_report():
     assert report["seed"] == 0
     assert report["count"] == 6
     assert len(report["instances"]) == 6
-    assert report["max_recursion_diff"] <= report["tolerances"]["recursion"]
-    assert report["max_lemma1_diff"] <= report["tolerances"]["lemma1"]
-    assert report["max_propagation_diff"] <= report["tolerances"]["propagation"]
-    assert report["max_bayes_diff"] <= report["tolerances"]["bayes"]
+    for check, tol in TOLERANCES.items():
+        assert report[f"max_{check}_diff"] <= report["tolerances"][check] == tol
+    assert report["tolerances"]["enumeration"] == 1e-12
     assert report["witness_instances"] >= 1
     row = report["instances"][0]
     assert row["pointwise_violations"] >= 1
     assert row["max_pointwise_gap"] > report["tolerances"]["witness_gap"]
+
+
+def test_suite_ok_reads_the_enumeration_gap(monkeypatch, run_cli):
+    # the fold against brute force is a gap check like the others: a gap
+    # above its tolerance fails the suite and exits 1
+    monkeypatch.setattr("treerecon.oracle.enumeration_cross_check",
+                        lambda *args: 1e-9)
+    report = run_suite(seed=0, count=3)
+    assert report["max_enumeration_diff"] == 1e-9
+    assert report["ok"] is False
+    code, out, _ = run_cli(["verify", "--count", "3", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def test_oracle_matches_simulation(binary_0301, witness_tree, potts_tree):

@@ -947,3 +947,15 @@ def test_symmetric_raw_chain_reports_its_limit():
     assert abs(res.value - 0.16) <= 1e-15 and res.trace.near_center_is_max
     assert res.trace.method == "grid-1d"
     assert ratio(res.argmax, ch) <= res.value * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("d", [0.12, 0.33])
+def test_best_point_at_alpha_yields_to_the_limit(d):
+    # On this grid the refinement of binary(d, 1 - d) ends within CENTER_ATOL
+    # of alpha with a value a rounding above lam^2.  ratio() refuses such a
+    # point, so compute_c reports the limit and its representative point.
+    ch = binary_channel(d, 1.0 - d)
+    res = compute_c(ch, OptimizerConfig(grid_points=100_001))
+    assert res.value == res.trace.near_center_value
+    assert res.trace.near_center_is_max
+    assert ratio(res.argmax, ch) <= res.value * (1 + 1e-15)
