@@ -41,7 +41,7 @@ POINTWISE_TOL = 1e-9
 # worst gap ("max_<check>_diff") and for one instance ("<check>_diff")
 TOLERANCES = {"recursion": 1e-10, "lemma1": 1e-10, "propagation": 1e-12,
               "bayes": 1e-12, "enumeration": 1e-12}
-LYAPUNOV_MARGIN_TOL = 1e-9  # the Lyapunov margin passes at or above -this
+LYAPUNOV_MARGIN_TOL = 1e-9  # a Lyapunov margin passes at or above minus this
 WITNESS_GAP = 1e-3
 
 

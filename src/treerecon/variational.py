@@ -483,7 +483,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
         near_center_value=nc_value,
         # flag tolerates optimizer-level noise: a point beating the
         # directional limit by < 1e-9 is not evidence of an interior maximum
-        near_center_is_max=bool(near_wins or nc_value >= best_v - 1e-9),
+        near_center_is_max=bool(nc_value >= best_v - 1e-9),
         seed=cfg.seed,
     )
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
