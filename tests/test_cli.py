@@ -628,6 +628,8 @@ BAD_FROM_FILE = {
     "branching-a-string": ("bounds", json.dumps(BOUNDS_STRING_BRANCHING), "csv",
                            "report.reports[0].branching has type str"),
     "no-reports-key": ("bounds", '{"nope": 1}', "table", "lacks 'command'"),
+    "command-no-reports-key": ("bounds", '{"command": "bounds", "nope": 1}', "table",
+                               "report lacks 'reports'"),
     "empty-constants": ("table1", '{"command": "table1", "reports": '
                                   '[{"delta2": 0.2, "constants": {}}]}', "csv",
                         "constants lacks 'fk'"),
