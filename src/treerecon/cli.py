@@ -25,9 +25,10 @@ from .bounds import DELTA2_GRID, BoundReport, bound_report, table1
 from .channels import (Channel, binary_channel, channel_from_json,
                        channel_to_json, potts_channel)
 from .errors import ChannelError, NoConvergence
-from .oracle import (LYAPUNOV_MARGIN_TOL, TOLERANCES, bayes_vs_recursion,
-                     check_lemma1, check_lyapunov_bound, check_main_recursion,
-                     check_propagation, enumeration_cross_check, run_suite)
+from .oracle import (LYAPUNOV_MARGIN_TOL, SUITE_SIZE, TOLERANCES,
+                     bayes_vs_recursion, check_lemma1, check_lyapunov_bound,
+                     check_main_recursion, check_propagation,
+                     enumeration_cross_check, run_suite)
 from .treesim import DEFAULT_MAX_NODES, TreeSpec, depth_sweep, sample_tree
 from .variational import OptimizerConfig, compute_c
 
@@ -331,9 +332,9 @@ def _cmd_c_of_m(args) -> dict:
     return {
         "command": "c-of-m",
         "channel": channel_to_json(channel),
-        "value": round(result.value, 6),
+        "value": result.value,
         "argmax": [float(x) for x in result.argmax],
-        "near_center_limit": round(trace.near_center_value, 6),
+        "near_center_limit": trace.near_center_value,
         "near_center_is_max": bool(trace.near_center_is_max),
         "method": trace.method,
         "starts": int(trace.starts),
@@ -353,7 +354,7 @@ def _cmd_bounds(args) -> dict:
 
 def _cmd_table1(args) -> dict:
     delta2_list = DELTA2_GRID
-    if args.delta2_list:
+    if args.delta2_list is not None:
         delta2_list = tuple(float(x) for x in args.delta2_list.split(","))
     reports = table1(args.delta1, delta2_list, args.branching,
                      config=_optimizer_config(args))
@@ -479,7 +480,7 @@ def build_parser() -> _Parser:
                    default="all")
     p.add_argument("--tree", help="instance tree, e.g. regular:d=2")
     p.add_argument("--depth", type=int)
-    p.add_argument("--count", type=int, default=50,
+    p.add_argument("--count", type=int, default=SUITE_SIZE,
                    help="instances in the randomized suite")
     p.add_argument("--verbose", action="store_true",
                    help="include per-instance rows in the suite report")

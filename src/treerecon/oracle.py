@@ -43,6 +43,7 @@ TOLERANCES = {"recursion": 1e-10, "lemma1": 1e-10, "propagation": 1e-12,
               "bayes": 1e-12, "enumeration": 1e-12}
 LYAPUNOV_MARGIN_TOL = 1e-9  # a Lyapunov margin passes at or above minus this
 WITNESS_GAP = 1e-3
+SUITE_SIZE = 50  # instances in the randomized suite by default
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _random_small_tree(rng: np.random.Generator, depth: int,
     raise TreeError("failed to draw a tree within the size limits")
 
 
-def random_suite(seed: int = 0, count: int = 50) -> list[SuiteInstance]:
+def random_suite(seed: int = 0, count: int = SUITE_SIZE) -> list[SuiteInstance]:
     """Randomized (channel, tree) instances for the identity checks: positive
     channels with 2 or 3 states, trees of depth 1..3 with at most 6 leaves.
 
@@ -323,7 +324,7 @@ def random_suite(seed: int = 0, count: int = 50) -> list[SuiteInstance]:
     return out
 
 
-def run_suite(seed: int = 0, count: int = 50) -> dict:
+def run_suite(seed: int = 0, count: int = SUITE_SIZE) -> dict:
     """Run every identity check over the randomized suite and report the
     worst gap of each check in TOLERANCES.  The report's "ok" flag requires
     every one within its tolerance and at least one pointwise-failure

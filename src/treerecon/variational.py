@@ -8,9 +8,11 @@ of the second-order expansion is the Rayleigh quotient
 computed exactly as the squared second singular value of
 K[i, j] = sqrt(alpha_j) M(j, i) / sqrt(alpha_i): the top eigenvalue of X X^T
 with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
-That near-center value is always merged with the interior search, so the
-reported constant is max(near-center limit, best evaluated ratio); a best
-point at alpha by ratio's test (CENTER_ATOL) reports the limit instead.
+That near-center value is always merged with the interior search by one
+test: the limit wins, and is reported with its representative point and
+near_center_is_max, when the best evaluated ratio is at most NEAR_RTOL
+(relative) above it or the best point is at alpha by ratio's test
+(CENTER_ATOL); otherwise the best evaluated ratio and its point are reported.
 
 Each constant has one objective F, alpha and the boundary included, and
 compute_c has two routes, each calling its own search.  The two-state route
@@ -49,6 +51,7 @@ from .entropy import symmetrized_entropy_rows  # noqa: F401  (bench/tracer.py wr
 from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
 
 CENTER_ATOL = 1e-12
+NEAR_RTOL = 1e-12  # a best value this far (relative) above the limit yields to it
 MIN_GRID_POINTS = 100_001  # smaller 1-d grids are raised to this size
 REFINE_STEPS = 4  # parabolic steps of the 1-d refinement
 FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
@@ -449,14 +452,15 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     A two-state channel, and a Potts channel (beta >= 0) through its lumped
     chain at any q (README "Potts constants"), take _ratio_q2 with its limit
     lam^2 and _grid_search ("lumped-grid-1d" for q >= 3); any other channel
-    takes the eigensolved limit and _multistart.  Fewer than one start or
-    iteration is a ValueError on either route.  Deterministic given config.
+    takes the eigensolved limit and _multistart.  Fewer than one start,
+    iteration or grid point is a ValueError on either route.  Deterministic
+    given config.
     """
     cfg = config or OptimizerConfig()
-    if cfg.starts < 1:
-        raise ValueError(f"optimizer starts must be >= 1, got {cfg.starts}")
-    if cfg.max_iters < 1:
-        raise ValueError(f"optimizer max_iters must be >= 1, got {cfg.max_iters}")
+    for name in ("starts", "max_iters", "grid_points"):
+        n = getattr(cfg, name)
+        if n < 1:
+            raise ValueError(f"optimizer {name} must be >= 1, got {n}")
     q, a = channel.q, channel.stationary
     if q == 2 or channel.lumped is not None:
         pair, lam = channel.lumped or (None, None)
@@ -475,17 +479,11 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     eps = 1e-9 * float(a.min())
     p_nc = _normalize_exact(a + eps * nc_dir)
 
-    near_wins = nc_value >= best_v or np.max(np.abs(best_p - a)) <= CENTER_ATOL
-    value = nc_value if near_wins else best_v
-    argmax = p_nc if near_wins else best_p
-    trace = MethodTrace(
-        **stats,
-        near_center_value=nc_value,
-        # flag tolerates optimizer-level noise: a point beating the
-        # directional limit by < 1e-9 is not evidence of an interior maximum
-        near_center_is_max=bool(nc_value >= best_v - 1e-9),
-        seed=cfg.seed,
-    )
+    near_wins = bool(best_v - nc_value <= NEAR_RTOL * nc_value
+                     or np.max(np.abs(best_p - a)) <= CENTER_ATOL)
+    value, argmax = (nc_value, p_nc) if near_wins else (best_v, best_p)
+    trace = MethodTrace(**stats, near_center_value=float(nc_value),
+                        near_center_is_max=near_wins, seed=cfg.seed)
     return VariationalResult(value=float(value), argmax=_readonly(argmax), trace=trace)
 
 
