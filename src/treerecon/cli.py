@@ -1,10 +1,10 @@
 """Command-line front end: channel constants, bound tables, identity
 verification suites, and broadcast simulations.
 
-Every command builds one report dict, which is exactly the JSON it prints.
-A per-command View describes how that report prints as CSV and as a table,
-so live output and re-rendered --from-file output share one renderer per
-format.
+Every command builds one report dict, which is exactly the JSON it prints,
+its numbers as computed.  A per-command View describes how that report
+prints as CSV and as a table, where its format specs round them, so live
+output and re-rendered --from-file output share one renderer per format.
 
 Exit codes: 0 success, 1 tolerance breach in verify, 2 input validation,
 3 numerical non-convergence, 64 usage.

@@ -8,11 +8,9 @@ of the second-order expansion is the Rayleigh quotient
 computed exactly as the squared second singular value of
 K[i, j] = sqrt(alpha_j) M(j, i) / sqrt(alpha_i): the top eigenvalue of X X^T
 with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
-That near-center value is always merged with the interior search by one
-test: the limit wins, and is reported with its representative point and
-near_center_is_max, when the best evaluated ratio is at most NEAR_RTOL
-(relative) above it or the best point is at alpha by ratio's test
-(CENTER_ATOL); otherwise the best evaluated ratio and its point are reported.
+That near-center value is merged with the interior search by one test: the
+limit wins, with its point and near_center_is_max, when the best ratio found
+is at most NEAR_RTOL (relative) above it or lies at alpha (CENTER_ATOL).
 
 Each constant has one objective F, alpha and the boundary included, and
 compute_c has two routes, each calling its own search.  The two-state route
@@ -452,9 +450,8 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
     A two-state channel, and a Potts channel (beta >= 0) through its lumped
     chain at any q (README "Potts constants"), take _ratio_q2 with its limit
     lam^2 and _grid_search ("lumped-grid-1d" for q >= 3); any other channel
-    takes the eigensolved limit and _multistart.  Fewer than one start,
-    iteration or grid point is a ValueError on either route.  Deterministic
-    given config.
+    takes the eigensolved limit and _multistart.  A budget (starts, max_iters,
+    grid_points) below 1 is a ValueError on either route.  Deterministic.
     """
     cfg = config or OptimizerConfig()
     for name in ("starts", "max_iters", "grid_points"):

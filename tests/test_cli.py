@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -10,8 +11,9 @@ import warnings
 import pytest
 
 import treerecon.cli
-from treerecon import potts_channel
-from treerecon.oracle import LYAPUNOV_MARGIN_TOL, TOLERANCES
+from treerecon import binary_channel, compute_c, potts_channel
+from treerecon.oracle import (LYAPUNOV_MARGIN_TOL, SUITE_SIZE, TOLERANCES,
+                              random_suite, run_suite)
 from treerecon.variational import MIN_GRID_POINTS
 
 QUICK = ["--starts", "8", "--grid-points", "50001"]
@@ -90,6 +92,28 @@ def test_c_of_m_csv_format(run_cli):
     assert flag == "false"
 
 
+@pytest.mark.parametrize("channel, ch", [
+    (["--family", "binary", "--delta1", "0.01", "--delta2", "0.0100001"],
+     binary_channel(0.01, 0.0100001)),
+    (["--family", "potts", "--q", "3", "--beta", "1e-4"], potts_channel(3, 1e-4)),
+], ids=["binary", "potts3"])
+def test_c_of_m_prints_the_verdict_as_computed(run_cli, channel, ch):
+    # c lies within 1e-9 of the limit in absolute terms, yet above it by
+    # 13.4x and 9.3%: the table says the limit is not the maximizer, and the
+    # JSON carries c as compute_c, and bounds, report it.
+    code, out, _ = run_cli(["c-of-m", *channel, "--format", "table"])
+    assert code == 0 and "(is maximizer: no)" in out
+    code, out, _ = run_cli(["c-of-m", *channel, "--format", "json"])
+    report = json.loads(out)
+    assert report["near_center_is_max"] is False
+    assert report["value"] > report["near_center_limit"] > 0.0
+    result = compute_c(ch)
+    assert report["value"] == result.value
+    assert report["near_center_limit"] == result.trace.near_center_value
+    code, out, _ = run_cli(["bounds", *channel, "--format", "json"])
+    assert json.loads(out)["reports"][0]["constants"]["fk"] == report["value"]
+
+
 class _Stdout(io.StringIO):
     def __init__(self, tty: bool):
         super().__init__()
@@ -160,6 +184,16 @@ def test_validation_failures_exit_2(run_cli):
            "--starts", n, "--format", "json"] for n in ("0", "-2")),
         *(["c-of-m", "--family", "potts", "--q", q, "--beta", "0.8",
            "--max-iters", n] for q in ("2", "3") for n in ("0", "-5")),
+        # below one grid point, on the grid and the lumped route and on a raw
+        # q = 3 channel, whose multistart route has no grid
+        *(["c-of-m", *channel, "--grid-points", n] for n in ("0", "-5") for channel in (
+            ["--family", "binary", "--delta1", "0.3", "--delta2", "0.1"],
+            ["--family", "potts", "--q", "3", "--beta", "0.8"],
+            ["--starts", "2", "--channel",
+             '{"matrix": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]}'])),
+        # an empty --delta2-list is given, not the default grid
+        ["table1", "--delta2-list", ""],
+        ["table1", "--delta2-list", "0.2,,0.3"],
         # a JSON field that is null, a list or a fractional q is a channel
         # error, not a traceback, and q is never truncated
         *(["c-of-m", "--channel", text] for text in (
@@ -463,6 +497,13 @@ def test_verify_suite_mode(run_cli):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_suite_size_has_one_source():
+    args = treerecon.cli._parser().parse_args(["verify"])
+    assert args.count == SUITE_SIZE == 50
+    for fn in (random_suite, run_suite):
+        assert inspect.signature(fn).parameters["count"].default == SUITE_SIZE
 
 
 def test_verify_instance_mode(run_cli):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from treerecon import (
+    NumericalUnderflow,
     TreeError,
     TreeSpec,
     TreeTooLarge,
@@ -238,6 +239,17 @@ def test_recursion_single_edge_posterior(binary_0301):
     out = belief_recursion(tree, binary_0301, {1: np.array([0.0, 1.0])})
     # alpha(j) M(j, 1) / P(child = 1)
     np.testing.assert_allclose(out[0], [0.9, 0.1], atol=1e-15)
+
+
+def test_recursion_product_underflow_raises():
+    # At beta = 200 each child's message is 1 on its spin and e^-400 on the
+    # other; two children of each spin leave e^-800 in every product, which
+    # underflows to zero.
+    tree = tree_from_level_counts([[4]])
+    leaves = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+    boundary = {int(v): np.array(row) for v, row in zip(tree.leaves, leaves)}
+    with pytest.raises(NumericalUnderflow, match="belief product underflowed to zero"):
+        belief_recursion(tree, potts_channel(2, 200.0), boundary)
 
 
 def test_recursion_boundary_key_errors(binary_0301):

@@ -31,6 +31,7 @@ from treerecon.variational import (
     CENTER_ATOL,
     FATOL,
     MIN_GRID_POINTS,
+    NEAR_RTOL,
     REFINE_STEPS,
     _multistart,
     _near_center,
@@ -752,7 +753,7 @@ def test_q2_refinement_matches_scipy_bounded_search(d1, d2, tol):
     res = compute_c(ch, cfg)
     ref = _scipy_refined_c(ch, cfg)
     if res.trace.near_center_is_max:
-        # both searches then read the near-center limit up to the flag's slack
+        # compute_c then reports the near-center limit, which scipy reaches to 1e-9
         assert abs(res.value - ref) <= 1e-9
     else:
         assert abs(res.value - ref) <= tol * ref
@@ -855,11 +856,16 @@ def test_q2_symmetric_channels_stay_below_lam_squared():
                 assert lam * g(lam * s) / g(s) <= lam ** 2
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 20.0])
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 20.0,
+                                  0.6496, 0.7798, 1.9439])
 def test_q2_ising_reaches_the_limit(beta):
-    res = compute_c(potts_channel(2, beta))
+    # At the last three the search's best value lies a float step above the
+    # limit; the proven supremum lam^2 itself is reported.
+    ch = potts_channel(2, beta)
+    res = compute_c(ch)
     want = math.tanh(beta) ** 2
     assert res.trace.near_center_is_max
+    assert res.value == ch.lumped[1] ** 2
     assert abs(res.value - want) <= 1e-14 * want
 
 
@@ -959,3 +965,32 @@ def test_best_point_at_alpha_yields_to_the_limit(d):
     assert res.value == res.trace.near_center_value
     assert res.trace.near_center_is_max
     assert ratio(res.argmax, ch) <= res.value * (1 + 1e-15)
+
+
+def _verdict_panel():
+    """Symmetric and asymmetric binaries, Ising and Potts on their lumped
+    chains, and random raw q = 3 channels."""
+    rng = np.random.default_rng(30)
+    return ([binary_channel(d, 1.0 - d) for d in (0.03, 0.12, 0.3, 0.33, 0.45)]
+            + [binary_channel(0.3, d2) for d2 in (0.1, 0.5, 0.9)]
+            + [binary_channel(0.01, 0.0100001), binary_channel(0.01, 0.5)]
+            + [potts_channel(2, beta) for beta in (1e-4, 0.6496, 0.7798, 1.9439, 20.0)]
+            + [potts_channel(q, beta) for q, beta in ((3, 1e-4), (3, 0.8), (5, 2.0), (50, 0.5))]
+            + [make_channel(0.5 * rng.dirichlet(np.ones(3), size=3) + 0.5 / 3,
+                            label=f"random q=3 #{k}") for k in range(3)])
+
+
+@pytest.mark.parametrize("ch", _verdict_panel(), ids=lambda ch: ch.label)
+def test_one_verdict_sets_value_argmax_and_flag(ch):
+    # binary(0.01, 0.0100001) and Potts q=3 at beta = 1e-4 have c within 1e-9
+    # of the limit in absolute terms, yet 13.4x and 1.093x above it.  Where
+    # the limit loses, the argmax is the search's point, at which ratio()
+    # (not the route's own objective) reads c.
+    res = compute_c(ch, OptimizerConfig(starts=8))
+    limit = res.trace.near_center_value
+    assert type(limit) is float
+    assert res.trace.near_center_is_max == (res.value == limit)
+    at_argmax = ratio(res.argmax, ch)  # never the 0/0 at alpha
+    if not res.trace.near_center_is_max:
+        assert res.value > limit * (1 + NEAR_RTOL)
+        assert abs(at_argmax - res.value) <= 1e-9 * res.value
