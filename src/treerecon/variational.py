@@ -10,7 +10,7 @@ K[i, j] = sqrt(alpha_j) M(j, i) / sqrt(alpha_i): the top eigenvalue of X X^T
 with X = K - sqrt(alpha) sqrt(alpha)^T, one symmetric q x q eigenproblem.
 That near-center value is merged with the interior search by one test: the
 limit wins, with its point and near_center_is_max, when the best ratio found
-is at most NEAR_RTOL (relative) above it or lies at alpha (CENTER_ATOL).
+is at most NEAR_RTOL (relative) above it or is found at alpha (CENTER_ATOL).
 
 Each constant has one objective F, alpha and the boundary included, and
 compute_c has two routes, each calling its own search.  The two-state route
