@@ -44,7 +44,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .channels import Channel, _normalize_exact, _readonly, make_channel, potts_channel
-from .entropy import _CHUNK, _states_sum, pairwise_sum, symmetrized_entropy
+from .entropy import _states_sum, pairwise_sum, symmetrized_entropy
 from .entropy import symmetrized_entropy_rows  # noqa: F401  (bench/tracer.py wraps this name here)
 from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
 
@@ -52,6 +52,12 @@ CENTER_ATOL = 1e-12
 NEAR_RTOL = 1e-12  # a best value this far (relative) above the limit yields to it
 MIN_GRID_POINTS = 100_001  # smaller 1-d grids are raised to this size
 REFINE_STEPS = 4  # parabolic steps of the 1-d refinement
+# Points per block of _ratio_q2, apart from entropy._CHUNK: at 16,384
+# points each float64 temporary is exactly 128 KiB, glibc malloc's default
+# mmap threshold, and the grid's time then moved by ~30% with the process's
+# allocation history (likely the mmap and trim thresholds; not traced).
+# Blocks of 64 KiB temporaries run at the fast end whatever the history.
+_Q2_BLOCK = 8192
 FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
 # trial points A * xbar - B * worst: reflection, expansion, outside and inside contraction
 _XBAR_COEF = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
@@ -189,7 +195,7 @@ def _ratio_q2(channel: Channel, lam: float | None = None):
     a + b, a large error next to a tiny b; so the states are first
     relabelled to make a <= b, and u stays above 0.4 wherever that form is
     used.  F is lam^2 where g(s) is exactly 0 and 0 where the quotient is
-    not finite, as on the boundary.  Blocks of _CHUNK points keep the
+    not finite, as on the boundary.  Blocks of _Q2_BLOCK points keep the
     temporaries in cache.  A caller that knows lam more accurately than the
     stored matrix gives it (a Potts lumped chain, lam from beta) for both.
 
@@ -221,8 +227,8 @@ def _ratio_q2(channel: Channel, lam: float | None = None):
     def F(t: np.ndarray) -> np.ndarray:
         out = np.empty(len(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, len(t), _CHUNK):
-                T = t[i:i + _CHUNK]
+            for i in range(0, len(t), _Q2_BLOCK):
+                T = t[i:i + _Q2_BLOCK]
                 U = 1.0 - T
                 if swap:
                     T, U = U, T
@@ -233,7 +239,7 @@ def _ratio_q2(channel: Channel, lam: float | None = None):
                 r /= den
                 r[~np.isfinite(r)] = 0.0
                 r[den == 0.0] = limit
-                out[i:i + _CHUNK] = r
+                out[i:i + _Q2_BLOCK] = r
         return out
 
     return F, limit
