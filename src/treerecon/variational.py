@@ -23,16 +23,18 @@ _grid_search evaluates F on a grid of grid_points points (fewer than
 100,001 are raised to 100,001) and refines the brackets of its best local
 maxima together (minimize_scalar; iterations counts its steps, evaluations
 the grid points plus one per bracket and step).  Every other channel takes
-the eigensolved limit of _near_center, and _multistart runs Nelder-Mead in
-softmax coordinates, whose softmax builds the beliefs as the columns of a
-states-major (q, n) array; F is _ratio_cols, which runs both entropies
-through one pass of the entropy kernel's branches.
-minimize advances the live starts together as one (live, q, q - 1) array of
-simplices, with one F call per step for the trial points of every live
-start, in start order.  A start leaves the array when it converges or
-exhausts max_iters, so the live starts share one iteration count.  Start k
-draws its randomness from a stream seeded by (seed, k), and the first of
-equal maxima wins, so results depend only on the configuration.
+the eigensolved limit of _near_center, and _multistart runs a Newton ascent
+on the simplex from every start at once: F is _ratio_cols, which runs both
+entropies through one pass of the entropy kernel's branches over the
+columns of a states-major (q, n) array, and _ascent gives saddle-free
+Newton directions from F's closed-form gradient and Hessian.  minimize
+holds the live starts as the columns of one array, with one direction call
+per iteration and one F call per halving of the pending steps, in start
+order.  A start leaves when its step shrinks to STEP_TOL or it exhausts
+max_iters (iterations: Newton iterations summed over the starts;
+evaluations: columns of F).  Start k draws its randomness from a stream
+seeded by (seed, k), and the first of equal maxima wins, so results depend
+only on the configuration.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .channels import Channel, _normalize_exact, _readonly, make_channel, potts_channel
-from .entropy import _states_sum, pairwise_sum, symmetrized_entropy
+from .entropy import _states_sum, symmetrized_entropy
 from .entropy import symmetrized_entropy_rows  # noqa: F401  (bench/tracer.py wraps this name here)
 from .errors import BadDimension, CenterSingularity, ChannelError, NoConvergence
 
@@ -58,10 +60,7 @@ REFINE_STEPS = 4  # parabolic steps of the 1-d refinement
 # allocation history (likely the mmap and trim thresholds; not traced).
 # Blocks of 64 KiB temporaries run at the fast end whatever the history.
 _Q2_BLOCK = 8192
-FATOL = 1e-10  # Nelder-Mead value tolerance (xatol: 1e-10, and 1e-12 to polish)
-# trial points A * xbar - B * worst: reflection, expansion, outside and inside contraction
-_XBAR_COEF = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
-_WORST_COEF = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
+STEP_TOL = 1e-13  # a Newton step this short in the max norm ends its start
 
 
 @dataclass(frozen=True)
@@ -245,18 +244,12 @@ def _ratio_q2(channel: Channel, lam: float | None = None):
     return F, limit
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis."""
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    return p / p.sum(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class SearchResult:
-    """One batched search: the point and value of the first row of least
-    value, iterations (steps for minimize_scalar) and objective rows summed
-    over all rows, whether any row converged, and how many rows did not."""
+    """One batched search: the point and value of the first start of least
+    value, iterations (steps for minimize_scalar) and objective evaluations
+    summed over all starts, whether any start converged, and how many did
+    not."""
     x: np.ndarray
     fun: float
     nit: int
@@ -265,82 +258,100 @@ class SearchResult:
     failed: int
 
 
-def minimize(f, X0, max_iters: int, fatol: float, xatol: float) -> SearchResult:
-    """Nelder-Mead from every row of X0 at once; f maps an (n, N) array to n values.
+def _ascent(channel: Channel):
+    """Saddle-free Newton directions of F = N / D, with N = L(B M_rev) and
+    D = L(B), at the columns of a states-major (q, n) array B.
 
-    Each row follows scipy's non-adaptive Nelder-Mead step for step: the same
-    initial simplex, coefficients, comparisons and sort, and nit counting from
-    1 with no convergence test once it reaches max_iters.  Rows only leave the
-    batch, when they converge or reach max_iters, so the live rows share one
-    iteration count.  A step evaluates the four trial points of every live
-    row in one f call, and the shrunk vertices of the rows that shrink in a
-    second, each in the rows' original order, so a row's path is scipy's
-    wherever f evaluates each row independently of the others.
+    With x a mapped column and d its deviation in the form of _ratio_cols,
+    grad L(x)_i = log1p(d_i / alpha_i) + d_i / x_i (log(x_i / alpha_i)
+    outside the log1p branch) and hess L(x) = diag((x + alpha) / x^2).  N
+    takes them through M_rev: M_rev grad L(x) and M_rev hess L(x) M_rev^T.
+    Then grad F = (grad N - F grad D) / D and
+    hess F = (hess N - F hess D - grad F grad D^T - grad D grad F^T) / D.
+    Both are projected onto an orthonormal basis Q of sum v = 0, and with
+    hess F = V diag(w) V^T the direction is Q V diag(1 / |w|) V^T grad F:
+    Newton's step with every curvature taken as negative, so it ascends at
+    minima and saddles too.  Where it is not finite (at alpha, or with a
+    zero curvature along a zero slope) the direction is 0.
     """
-    X0 = np.array(X0, dtype=float, ndmin=2)
-    S, N = X0.shape
-    s = np.repeat(X0[:, None, :], N + 1, axis=1)
-    k = np.arange(N)
-    s[:, k + 1, k] = np.where(X0 != 0, 1.05 * X0, 0.00025)
-    fs = f(s.reshape(-1, N)).reshape(S, N + 1)
-    nfev = S * (N + 1)
-    live = np.arange(S)  # original row of each live simplex in s, fs
-    rows = np.arange(S)  # position of each live simplex, kept until the live set changes
-    i = rows[:, None]
-    order = fs.argsort(axis=1)
-    s, fs = s[i, order], fs[i, order]
-    x_out, f_out = np.empty((S, N)), np.empty(S)
-    nit = nit_sum = converged = 0
-    while True:
-        nit += 1
-        if nit >= max_iters:
-            leave = np.ones(len(live), dtype=bool)
-            n_leave = len(live)
-        else:
-            # fs is sorted, so fs[:, -1] - fs[:, 0] is max |fs[:, 0] - fs[:, j]|, NaN included
-            leave = fs[:, -1] - fs[:, 0] <= fatol
-            n_leave = np.count_nonzero(leave)
-            if n_leave:
-                leave[leave] = np.abs(s[leave, 1:] - s[leave, :1]).max(axis=(1, 2)) <= xatol
-                n_leave = np.count_nonzero(leave)
-                converged += n_leave
-        if n_leave:
-            gone = live[leave]
-            x_out[gone], f_out[gone] = s[leave, 0], fs[leave, 0]
-            nit_sum += nit * n_leave
-            if n_leave == len(live):
-                break
-            stay = ~leave
-            live, s, fs = live[stay], s[stay], fs[stay]
-            rows = np.arange(len(live))
-            i = rows[:, None]
-        trial = _XBAR_COEF * (np.add.reduce(s[:, :-1], 1) / N)[:, None] - _WORST_COEF * s[:, -1:]
-        ft = f(trial.reshape(-1, N)).reshape(-1, 4)
-        nfev += ft.size
-        fr, fe, fc, fcc = ft.T
-        expand = fr < fs[:, 0]
-        contract = ~expand & ~(fr < fs[:, -2])
-        outside = contract & (fr < fs[:, -1])
-        take_c = outside & (fc <= fr)
-        take_cc = contract & ~outside & (fcc < fs[:, -1])
-        shrink = contract & ~(take_c | take_cc)
-        # the four cases are disjoint: 0 reflection, 1 expansion, 2 and 3 contraction
-        pick = (expand & (fe < fr)) + 2 * take_c + 3 * take_cc
-        if not np.count_nonzero(shrink):
-            s[:, -1], fs[:, -1] = trial[rows, pick], ft[rows, pick]
-        else:
-            m = ~shrink
-            s[m, -1], fs[m, -1] = trial[m, pick[m]], ft[m, pick[m]]
-            b = s[shrink]
-            b[:, 1:] = b[:, :1] + 0.5 * (b[:, 1:] - b[:, :1])
-            s[shrink] = b
-            fs[shrink, 1:] = f(b[:, 1:].reshape(-1, N)).reshape(-1, N)
-            nfev += b.shape[0] * N
-        order = fs.argsort(axis=1)
-        s, fs = s[i, order], fs[i, order]
-    best = int(np.argmin(f_out))
-    return SearchResult(x=x_out[best], fun=float(f_out[best]), nit=nit_sum, nfev=nfev,
-                        success=converged > 0, failed=S - converged)
+    q = channel.q
+    a = channel.stationary[:, None]
+    log_a = np.log(a)
+    Mt = channel.reversed.T
+    eye = np.eye(q)
+    Q = np.linalg.qr(eye[:, :-1] - 1.0 / q)[0]
+    proj_eye, proj_rev = eye.T - a, Mt - a  # as _ratio_cols forms them
+    W = np.stack([Q, Mt @ Q])  # (2, q, q - 1): the chain rule through x and the projection
+    Wt = W.transpose(0, 2, 1)[:, None]
+
+    def direction(B: np.ndarray) -> np.ndarray:
+        dev = B - a
+        d = np.stack([proj_eye @ dev, proj_rev @ dev])
+        x = np.stack([B, Mt @ B])
+        with np.errstate(all="ignore"):
+            r = d / a
+            lg = np.where(np.abs(r) < 0.5, np.log1p(r), np.log(x) - log_a)
+            (D, N) = (d * lg).sum(axis=1)
+            F = (N / D)[:, None]
+            # (2, n, q - 1) gradients and (2, n, q - 1, q - 1) Hessians of D, N
+            gD, gN = (Wt @ (lg + d / x).transpose(0, 2, 1)[..., None])[..., 0]
+            hD, hN = (Wt * ((x + a) / x ** 2).transpose(0, 2, 1)[:, :, None]) @ W[:, None]
+            g = (gN - F * gD) / D[:, None]
+            cross = g[:, :, None] * gD[:, None]
+            H = (hN - F[..., None] * hD - cross - cross.transpose(0, 2, 1)) / D[:, None, None]
+            bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2)))
+            g[bad], H[bad] = 0.0, 0.0
+            w, V = np.linalg.eigh(H)
+            c = (g[:, None] @ V)[:, 0] / np.abs(w)
+        c[~np.isfinite(c)] = 0.0
+        return (Q @ (V @ c[..., None]))[..., 0].T
+
+    return direction
+
+
+def minimize(F, direction, P0, max_iters: int) -> SearchResult:
+    """Maximize F from every column of P0 at once, by line searches along
+    direction(B); F and direction map a states-major (q, n) array of
+    beliefs to n values and to (q, n) directions.
+
+    Each iteration takes one direction per live column.  Its step starts at
+    t = min(1, 0.9 times the distance to the simplex's boundary) and halves
+    until F does not fall, all pending columns of the batch in one F call
+    per halving.  A column converges when its step is at most STEP_TOL in
+    the max norm, before or after halving, and leaves the batch; those left
+    after max_iters iterations fail.  fun is -F at the first best column,
+    nit the iterations and nfev the F columns, both summed over columns.
+    """
+    P = np.array(P0, dtype=float)
+    f = F(P)
+    nfev, nit, converged = P.shape[1], 0, 0
+    live = np.arange(P.shape[1])
+    for _ in range(max_iters):
+        if not len(live):
+            break
+        nit += len(live)
+        step = direction(P[:, live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step < 0.0, P[:, live] / -step, np.inf).min(axis=0)
+        t = np.minimum(1.0, 0.9 * room)
+        span = np.abs(step).max(axis=0)
+        todo = np.flatnonzero(t * span > STEP_TOL)
+        while len(todo):
+            k = live[todo]
+            trial = P[:, k] + t[todo] * step[:, todo]
+            ft = F(trial)
+            nfev += len(todo)
+            up = ft >= f[k]
+            P[:, k[up]], f[k[up]] = trial[:, up], ft[up]
+            todo = todo[~up]
+            t[todo] *= 0.5
+            todo = todo[t[todo] * span[todo] > STEP_TOL]
+        done = t * span <= STEP_TOL
+        converged += int(np.count_nonzero(done))
+        live = live[~done]
+    best = int(np.argmax(f))
+    return SearchResult(x=P[:, best].copy(), fun=-float(f[best]), nit=nit, nfev=nfev,
+                        success=converged > 0, failed=P.shape[1] - converged)
 
 
 def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:
@@ -370,28 +381,12 @@ def minimize_scalar(f, x, fx, lo, hi) -> SearchResult:
                         nit=REFINE_STEPS, nfev=REFINE_STEPS * len(x), success=True, failed=0)
 
 
-def _softmax_objective(F):
-    """-F in softmax coordinates: row x of X stands for softmax([x, 0]),
-    which F takes as a column of a states-major (q, n) array.  The column
-    max, exp and pairwise sum over states give _softmax's rows bit for bit."""
-    def f(X: np.ndarray) -> np.ndarray:
-        Z = np.empty((X.shape[1] + 1, len(X)))
-        Z[:-1] = X.T
-        Z[-1] = 0.0
-        Z -= Z.max(axis=0)
-        np.exp(Z, out=Z)
-        Z /= pairwise_sum(Z)
-        r = F(Z)
-        return np.negative(r, out=r)
-    return f
-
-
 def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """The (starts, q - 1) softmax coordinates of the multistart search:
+    """The (q, starts) beliefs of the multistart search, one per column:
     the q corners, then alternately a Dirichlet point and a perturbation of
     ``center``, start k drawing from default_rng([seed, k])."""
-    X0 = np.empty((int(cfg.starts), q - 1))
-    for k in range(len(X0)):
+    P0 = np.empty((q, int(cfg.starts)))
+    for k in range(P0.shape[1]):
         rng = np.random.default_rng([cfg.seed, k])
         if k < q:
             p0 = np.full(q, 1e-6 / q)
@@ -399,10 +394,10 @@ def _starts(q: int, center: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
         elif (k - q) % 2 == 0:
             p0 = rng.dirichlet(np.ones(q))
         else:
-            p0 = _softmax(np.log(center) + 0.5 * rng.standard_normal(q))
+            p0 = center * np.exp(0.5 * rng.standard_normal(q))
         p0 = np.maximum(p0, 1e-12)
-        X0[k] = np.log(p0 / p0[-1])[:-1]
-    return X0
+        P0[:, k] = p0 / p0.sum()
+    return P0
 
 
 def _grid_search(F, cfg: OptimizerConfig):
@@ -429,25 +424,17 @@ def _grid_search(F, cfg: OptimizerConfig):
     return best_v, best_t, stats
 
 
-def _multistart(F, cfg: OptimizerConfig, center: np.ndarray):
-    """Best found (value, point, stats) of F over the len(center)-simplex,
-    stats holding the MethodTrace fields.  Every start, some perturbing
-    center, runs in one batched Nelder-Mead, which then polishes the winner."""
-    f = _softmax_objective(F)
-    X0 = _starts(len(center), center, cfg)
-    res = minimize(f, X0, cfg.max_iters, FATOL, 1e-10)
+def _multistart(channel: Channel, nc_value: float, cfg: OptimizerConfig):
+    """Best found (value, point, stats) of _ratio_cols over the simplex,
+    stats holding the MethodTrace fields: every start, some perturbing
+    alpha, runs in one batched Newton search along _ascent."""
+    P0 = _starts(channel.q, channel.stationary, cfg)
+    res = minimize(_ratio_cols(channel, nc_value), _ascent(channel), P0, cfg.max_iters)
     if not res.success:
         raise NoConvergence("no optimizer start converged within the iteration budget")
-    best_v, best_x = -res.fun, res.x
-    # one polish pass from the winning point
-    polish = minimize(f, best_x, cfg.max_iters, FATOL, 1e-12)
-    if -polish.fun > best_v:
-        best_v, best_x = -polish.fun, polish.x
-    best_p = _softmax(np.concatenate([best_x, [0.0]]))
-    stats = dict(method="multistart-nelder-mead", starts=len(X0), grid_points=0,
-                 iterations=res.nit + polish.nit, evaluations=res.nfev + polish.nfev,
-                 failed_starts=res.failed)
-    return best_v, best_p, stats
+    stats = dict(method="multistart-newton", starts=P0.shape[1], grid_points=0,
+                 iterations=res.nit, evaluations=res.nfev, failed_starts=res.failed)
+    return -res.fun, res.x, stats
 
 
 def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> VariationalResult:
@@ -475,7 +462,7 @@ def compute_c(channel: Channel, config: OptimizerConfig | None = None) -> Variat
             stats["method"] = "lumped-grid-1d"
     else:
         nc_value, nc_dir = _near_center(channel)
-        best_v, best_p, stats = _multistart(_ratio_cols(channel, nc_value), cfg, a)
+        best_v, best_p, stats = _multistart(channel, nc_value, cfg)
 
     # representative point for the near-center candidate, 1e-9 min(alpha)
     # from alpha in the max norm (the largest entry of nc_dir is +-1)

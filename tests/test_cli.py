@@ -323,20 +323,20 @@ def test_extreme_channel_ends_cleanly(run_cli, case):
 
 
 def test_no_converged_start_exits_3(run_cli):
-    # At 40 iterations none of the 64 starts on the Potts q=3 matrix
-    # converges; at 100 all but one do, and the report counts the one that
-    # exhausted its budget.  Given as a raw matrix, the channel takes the
+    # At 4 Newton iterations none of the 64 starts on the Potts q=3 matrix
+    # converges; at 8 all but 15 do, and the report counts the 15 that
+    # exhausted their budget.  Given as a raw matrix, the channel takes the
     # multistart search, not the lumped route of --family potts.
     matrix = json.dumps({"matrix": potts_channel(3, 0.8).matrix.tolist()})
     potts = ["c-of-m", "--channel", matrix, "--format", "json"]
-    code, out, err = run_cli([*potts, "--max-iters", "40"])
+    code, out, err = run_cli([*potts, "--max-iters", "4"])
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "no optimizer start converged" in err
-    code, out, err = run_cli([*potts, "--max-iters", "100"])
+    code, out, err = run_cli([*potts, "--max-iters", "8"])
     assert code == 0 and err == ""
     report = json.loads(out)
-    assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (1, 5279, 22115)
+    assert (report["failed_starts"], report["iterations"], report["evaluations"]) == (15, 448, 551)
 
 
 @pytest.mark.parametrize("q, beta", [("30", "2"), ("50", "0.5")])

@@ -29,16 +29,14 @@ from treerecon.channels import _potts_e2b
 from treerecon.entropy import symmetrized_entropy_rows
 from treerecon.variational import (
     CENTER_ATOL,
-    FATOL,
     MIN_GRID_POINTS,
     NEAR_RTOL,
     REFINE_STEPS,
     _multistart,
+    _ascent,
     _near_center,
     _ratio_cols,
     _ratio_q2,
-    _softmax,
-    _softmax_objective,
     _starts,
     minimize,
     minimize_scalar,
@@ -69,6 +67,13 @@ def _ratio_rows(channel, nc_value):
         return r
 
     return F
+
+
+def _softmax(z):
+    """Softmax along the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @pytest.fixture(scope="module")
@@ -206,14 +211,14 @@ def test_potts_channel_carries_its_lumping():
 
 
 def test_potts_cbar_matches_full_search():
-    # The (q - 1)-dimensional multistart Nelder-Mead on the full channel,
+    # The (q - 1)-dimensional multistart Newton search on the full channel,
     # the lumped route of compute_c and lam potts_cbar agree.
     cfg = OptimizerConfig()
     for q in range(3, 7):
         for beta in (0.2, 0.7, 1.5, 3.0):
             ch = potts_channel(q, beta)
             nc = near_center_limit(ch)
-            full = max(nc, _multistart(_ratio_cols(ch, nc), cfg, ch.stationary)[0])
+            full = max(nc, _multistart(ch, nc, cfg)[0])
             res = compute_c(ch)
             reduced = _potts_lam(q, beta) * potts_cbar(q, beta)
             assert res.trace.method == "lumped-grid-1d" and res.trace.failed_starts == 0
@@ -363,20 +368,20 @@ def _cross_beliefs(ch, rng, n):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
 def test_cols_objective_matches_rows_objective_bitwise(q):
-    # The search's column objective, softmax included, against the rows
-    # objective composed with the row softmax; and on given beliefs, alpha
-    # itself (the near-center limit), 1e-10 from it and the boundary (0).
+    # The search's column objective against the rows objective: on softmax
+    # points of wide spread, one with an entry that underflows to 0 (F = 0),
+    # and on given beliefs, alpha itself (the near-center limit), 1e-10 from
+    # it and the boundary (0).
     rng = np.random.default_rng(90 + q)
     ch = _random_channel(q, 80 + q)
     nc = near_center_limit(ch)
     cols, rows = _ratio_cols(ch, nc), _ratio_rows(ch, nc)
-    f = _softmax_objective(cols)
     for n in (1, 4, 14, 64):
         X = rng.normal(0.0, 2.0, size=(n, q - 1))
-        X[0, :2] = (800.0, -800.0)  # one entry underflows to 0: F = 0
-        want = -rows(_softmax(np.concatenate([X, np.zeros((n, 1))], axis=1)))
-        got = f(X)
-        assert got.tobytes() == want.tobytes(), n
+        X[0, :2] = (800.0, -800.0)
+        P = _softmax(np.concatenate([X, np.zeros((n, 1))], axis=1))
+        got = cols(P.T.copy())
+        assert got.tobytes() == rows(P).tobytes(), n
         assert got[0] == 0.0
         P = _cross_beliefs(ch, rng, n)
         got = cols(P.T.copy())
@@ -387,13 +392,13 @@ def test_cols_objective_matches_rows_objective_bitwise(q):
 
 
 def test_cols_objective_is_columnwise_at_q3():
-    # At q = 3 a column alone reads the same bits as inside a batch, which
-    # the bitwise comparison of the batched Nelder-Mead with scipy needs.
+    # At q = 3 a column alone reads the same bits as inside a batch.
     ch = _random_channel(3, 60)
-    f = _softmax_objective(_ratio_cols(ch, near_center_limit(ch)))
+    F = _ratio_cols(ch, near_center_limit(ch))
     X = np.random.default_rng(5).normal(0.0, 2.0, size=(200, 2))
-    batch = f(X)
-    assert np.array([f(x[None])[0] for x in X]).tobytes() == batch.tobytes()
+    B = _softmax(np.concatenate([X, np.zeros((200, 1))], axis=1)).T.copy()
+    batch = F(B)
+    assert np.array([F(B[:, [k]])[0] for k in range(200)]).tobytes() == batch.tobytes()
 
 
 def _potts_row_form(q, lam, P):
@@ -639,17 +644,20 @@ def _random_channel(q, seed):
 
 
 def _channel_case(ch):
-    """compute_c's objective and starts for channel ch."""
-    f = _softmax_objective(_ratio_cols(ch, near_center_limit(ch)))
-    return f, _starts(ch.q, ch.stationary, CROSS_CFG)
+    """compute_c's objective, directions and starts for channel ch."""
+    return _ratio_cols(ch, near_center_limit(ch)), _ascent(ch), _starts(ch.q, ch.stationary, CROSS_CFG)
 
 
-def _scipy_per_start(f, X0, max_iters=CROSS_CFG.max_iters):
-    """scipy's Nelder-Mead result from each start, evaluating one point per call."""
-    return [scipy_minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
-                           options={"maxiter": max_iters,
-                                    "fatol": FATOL, "xatol": 1e-10})
-            for x0 in X0]
+def _scipy_per_start(F, P0, max_iters=CROSS_CFG.max_iters):
+    """scipy's Nelder-Mead result on -F from each column of P0, one start
+    and one point per call, in the softmax coordinates x of
+    softmax([x, 0]); the tolerances are the former batched search's."""
+    def f(x):
+        return -F(_softmax(np.append(x, 0.0))[:, None])[0]
+
+    return [scipy_minimize(f, np.log(p0 / p0[-1])[:-1], method="Nelder-Mead",
+                           options={"maxiter": max_iters, "fatol": 1e-10, "xatol": 1e-10})
+            for p0 in P0.T]
 
 
 CROSS_Q3 = {
@@ -657,48 +665,83 @@ CROSS_Q3 = {
     "random-1": lambda: _channel_case(_random_channel(3, 61)),
     "random-2": lambda: _channel_case(_random_channel(3, 62)),
     "potts-beta1": lambda: _channel_case(potts_channel(3, 1.0)),
-    "potts-beta0": lambda: _channel_case(potts_channel(3, 0.0)),  # flat: ties everywhere
-    # a plateau at -1: where reflection and expansion both land on it they
-    # tie, and scipy keeps the reflection
-    "plateau": lambda: (lambda X: -np.minimum(X.sum(axis=1), 1.0),
-                        np.array([[0.1, 0.2], [0.3, -0.2], [0.05, 0.05]])),
+    "potts-beta0": lambda: _channel_case(potts_channel(3, 0.0)),  # flat: F = 0 everywhere
 }
+CROSS_Q45 = {f"random-q{q}": lambda q=q: _channel_case(_random_channel(q, 70 + q)) for q in (4, 5)}
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(CROSS_Q3[name], id=name) for name in CROSS_Q3),
+    *(pytest.param(CROSS_Q45[name], id=name) for name in CROSS_Q45)])
+def test_newton_reaches_scipy_best(case):
+    # scipy's Nelder-Mead, one start at a time from the same starts, is the
+    # independent reference: Newton's best must not fall behind its best.
+    F, direction, P0 = case()
+    ref = _scipy_per_start(F, P0)
+    res = minimize(F, direction, P0, CROSS_CFG.max_iters)
+    best = -min(r.fun for r in ref)
+    assert res.success and res.failed == 0
+    assert -res.fun >= best - 1e-14 * abs(best)
+    assert abs(res.fun + F(res.x[:, None])[0]) <= 1e-14 * abs(res.fun)
 
 
 @pytest.mark.parametrize("name, max_iters", [
-    pytest.param(name, n, id=name if n == CROSS_CFG.max_iters else f"{name}-{n}")
-    for n in (CROSS_CFG.max_iters, 100, 1) for name in CROSS_Q3])
-def test_batched_nelder_mead_matches_scipy_bitwise(name, max_iters):
-    # At q = 3 the objective rounds each row alike in any batch, so every
-    # start must follow scipy's path bit for bit, and the batch must return
-    # the first start of least value.  At 1500 iterations the starts
-    # converge (one potts-beta0 start excepted); at 100 random-0 has starts
-    # that converge and starts that exhaust the budget, so rows leave the
-    # batch at different steps for different reasons; at 1 every start
-    # exhausts it.
-    f, X0 = CROSS_Q3[name]()
-    ref = _scipy_per_start(f, X0, max_iters)
-    for x0, r in zip(X0, ref):
-        one = minimize(f, x0, max_iters, FATOL, 1e-10)
-        assert one.x.tobytes() == r.x.tobytes()
-        assert (one.fun, one.nit, one.success) == (r.fun, r.nit, r.success)
-    batch = minimize(f, X0, max_iters, FATOL, 1e-10)
-    first = min(range(len(ref)), key=lambda k: (ref[k].fun, k))
-    assert batch.x.tobytes() == ref[first].x.tobytes()
-    assert batch.fun == ref[first].fun
-    assert batch.nit == sum(r.nit for r in ref)
-    assert batch.failed == sum(not r.success for r in ref)
-    assert batch.success == any(r.success for r in ref)
+    *(pytest.param(name, n, id=name if n == CROSS_CFG.max_iters else f"{name}-{n}")
+      for n in (CROSS_CFG.max_iters, 8, 1) for name in CROSS_Q3),
+    *(pytest.param(name, CROSS_CFG.max_iters, id=name) for name in CROSS_Q45)])
+def test_newton_batch_matches_each_start_alone(name, max_iters):
+    # Every start run alone, against the batch of it and the starts after
+    # it.  At q = 3 both objectives round a column alike in any batch, so
+    # the batch returns the first best start alone bit for bit, and its
+    # iterations, evaluations and failures are the sums of theirs.  At
+    # q >= 4 batched products may round a column differently, so paths can
+    # part by a few ulps: the best agrees within 1e-14 relative.  At 1500
+    # iterations every start converges; at 8 random-0 has starts that
+    # converge and starts that exhaust the budget; at 1 none converges.
+    # Reruns are bitwise.
+    F, direction, P0 = {**CROSS_Q3, **CROSS_Q45}[name]()
+    alone = [minimize(F, direction, P0[:, [k]], max_iters) for k in range(P0.shape[1])]
+    for k in reversed(range(P0.shape[1])):
+        batch = minimize(F, direction, P0[:, k:], max_iters)
+        rest = alone[k:]
+        best = min(rest, key=lambda r: r.fun)
+        assert batch.failed == sum(r.failed for r in rest)
+        assert batch.success == any(r.success for r in rest)
+        if P0.shape[0] == 3:
+            assert (batch.x.tobytes(), batch.fun) == (best.x.tobytes(), best.fun), k
+            assert (batch.nit, batch.nfev) == (sum(r.nit for r in rest), sum(r.nfev for r in rest))
+        else:
+            assert abs(batch.fun - best.fun) <= 1e-14 * abs(best.fun), k
+    again = minimize(F, direction, P0, max_iters)
+    assert (again.x.tobytes(), again.fun, again.nit, again.nfev, again.failed) == \
+        (batch.x.tobytes(), batch.fun, batch.nit, batch.nfev, batch.failed)
 
 
-@pytest.mark.parametrize("q", [4, 5])
-def test_batched_nelder_mead_reaches_scipy_best(q):
-    # At q >= 4 a one-row product rounds differently from the same row in a
-    # block, so paths may part; the best value must not fall behind scipy's.
-    f, X0 = _channel_case(_random_channel(q, 70 + q))
-    ref = _scipy_per_start(f, X0)
-    batch = minimize(f, X0, CROSS_CFG.max_iters, FATOL, 1e-10)
-    assert -batch.fun >= -min(r.fun for r in ref) - 1e-9
+def _dirichlet_channel(q, seed=3):
+    return make_channel(np.random.default_rng(seed).dirichlet(np.ones(q), size=q))
+
+
+@pytest.mark.parametrize("q", [16, 20])
+def test_multistart_converges_at_large_q(q):
+    # Nelder-Mead exhausted its 4000 iterations from every start here
+    res = compute_c(_dirichlet_channel(q))
+    assert res.trace.method == "multistart-newton"
+    assert res.trace.failed_starts == 0 and res.trace.starts == 64
+    assert res.value > res.trace.near_center_value
+    assert abs(ratio(res.argmax, _dirichlet_channel(q)) - res.value) <= 1e-12 * res.value
+
+
+def test_multistart_reports_a_winning_limit():
+    # kron(sym(0.1), sym(0.3)): the limit 0.8^2 = 0.64 is the supremum, the
+    # starts climb towards alpha, and the one near-center verdict reports it
+    sym = lambda e: np.array([[1.0 - e, e], [e, 1.0 - e]])  # noqa: E731
+    ch = make_channel(np.kron(sym(0.1), sym(0.3)))
+    res = compute_c(ch)
+    assert res.trace.method == "multistart-newton" and res.trace.failed_starts == 0
+    assert res.value == res.trace.near_center_value
+    assert abs(res.value - 0.64) <= 1e-14
+    assert res.trace.near_center_is_max
+    assert math.isfinite(ratio(res.argmax, ch))
 
 
 def test_minimize_scalar_on_a_parabola():
@@ -989,6 +1032,9 @@ def test_one_verdict_sets_value_argmax_and_flag(ch):
     res = compute_c(ch, OptimizerConfig(starts=8))
     limit = res.trace.near_center_value
     assert type(limit) is float
+    t = res.trace
+    assert all(type(n) is int for n in (t.iterations, t.evaluations, t.failed_starts,
+                                         t.starts, t.grid_points))
     assert res.trace.near_center_is_max == (res.value == limit)
     at_argmax = ratio(res.argmax, ch)  # never the 0/0 at alpha
     if not res.trace.near_center_is_max:
