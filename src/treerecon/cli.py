@@ -174,7 +174,7 @@ def _verify_rows(report: dict) -> list:
 
 C_OF_M = View(
     rows=lambda report: [report],
-    columns=(("value", ".6f", None), ("near_center_limit", ".6f", None),
+    columns=(("value", ".6g", None), ("near_center_limit", ".6g", None),
              ("near_center_is_max", "", None)),  # no --from-file
     specs={"argmax": ".6f", "near_center_is_max": "yn"},
     line="c = {value}\nargmax = [{argmax}]\n"

@@ -59,6 +59,13 @@ def test_c_of_m_table_format(run_cli):
     assert f"c = {math.tanh(0.5) ** 2:.6f}" in out
     assert "near-center limit" in out
     assert err == ""
+    # six significant digits, not decimals: a small c stays visible above
+    # its still smaller limit
+    code, out, err = run_cli(["c-of-m", "--family", "binary", "--delta1", "0.01",
+                              "--delta2", "0.0100001", "--format", "table", *QUICK])
+    assert code == 0 and err == ""
+    assert "c = 1.34071e-13\n" in out
+    assert "near-center limit = 1e-14 (is maximizer: no)" in out
 
 
 def test_c_of_m_json_format(run_cli):
