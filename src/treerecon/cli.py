@@ -335,13 +335,13 @@ def _cmd_c_of_m(args) -> dict:
         "value": result.value,
         "argmax": [float(x) for x in result.argmax],
         "near_center_limit": trace.near_center_value,
-        "near_center_is_max": bool(trace.near_center_is_max),
+        "near_center_is_max": trace.near_center_is_max,
         "method": trace.method,
-        "starts": int(trace.starts),
-        "iterations": int(trace.iterations),
-        "evaluations": int(trace.evaluations),
-        "failed_starts": int(trace.failed_starts),
-        "seed": int(trace.seed),
+        "starts": trace.starts,
+        "iterations": trace.iterations,
+        "evaluations": trace.evaluations,
+        "failed_starts": trace.failed_starts,
+        "seed": trace.seed,
     }
 
 
