@@ -645,7 +645,8 @@ def _random_channel(q, seed):
 
 def _channel_case(ch):
     """compute_c's objective, directions and starts for channel ch."""
-    return _ratio_cols(ch, near_center_limit(ch)), _ascent(ch), _starts(ch.q, ch.stationary, CROSS_CFG)
+    F = _ratio_cols(ch, near_center_limit(ch))
+    return F, _ascent(ch), _starts(ch.q, ch.stationary, CROSS_CFG)
 
 
 def _scipy_per_start(F, P0, max_iters=CROSS_CFG.max_iters):
@@ -715,6 +716,18 @@ def test_newton_batch_matches_each_start_alone(name, max_iters):
     again = minimize(F, direction, P0, max_iters)
     assert (again.x.tobytes(), again.fun, again.nit, again.nfev, again.failed) == \
         (batch.x.tobytes(), batch.fun, batch.nit, batch.nfev, batch.failed)
+
+
+def test_newton_direction_is_zero_where_not_finite():
+    # at alpha (D = 0) and on the boundary (log 0) the derivatives are not
+    # finite: those columns get no step, and the others are unaffected
+    ch = _random_channel(3, 60)
+    direction = _ascent(ch)
+    p = np.array([0.2, 0.3, 0.5])
+    got = direction(np.stack([ch.stationary, np.eye(3)[0], p], axis=1))
+    assert not got[:, :2].any()
+    assert got[:, 2].tobytes() == direction(p[:, None])[:, 0].tobytes()
+    assert abs(got[:, 2].sum()) <= 1e-15 and np.abs(got[:, 2]).max() > 0.01
 
 
 def _dirichlet_channel(q, seed=3):
