@@ -291,7 +291,7 @@ def _ascent(channel: Channel):
         with np.errstate(all="ignore"):
             r = d / a
             lg = np.where(np.abs(r) < 0.5, np.log1p(r), np.log(x) - log_a)
-            (D, N) = (d * lg).sum(axis=1)
+            D, N = (d * lg).sum(axis=1)
             F = (N / D)[:, None]
             # (2, n, q - 1) gradients and (2, n, q - 1, q - 1) Hessians of D, N
             gD, gN = (Wt @ (lg + d / x).transpose(0, 2, 1)[..., None])[..., 0]
